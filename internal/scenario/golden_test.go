@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wheels/internal/campaign"
+	"wheels/internal/dataset"
 	"wheels/internal/pathtest"
 )
 
@@ -49,5 +50,36 @@ func TestPaperScenarioGoldenSeed23(t *testing.T) {
 		t.Errorf("paper-scenario seed-23 hash = %s, want %s\n"+
 			"the scenario compile pipeline no longer reproduces the paper route byte-for-byte",
 			got, strings.TrimSpace(string(want)))
+	}
+}
+
+// paperCampaignDigest is HashSink.Sum of the seed-23 DefaultConfig
+// campaign on the compiled paper scenario — the digest drivesim
+// -stream-out prints for that run. It is committed, never regenerated:
+// unlike the 120-km golden above it covers every battery (speed tests, the
+// §7 app runs, static cities, passive loggers) over the whole multi-day
+// trace, so a change that reorders or alters any app or speed-test row
+// fails here.
+const paperCampaignDigest = "7adcf825aa30310c59fe6e83406498a3a1aa8fc0e6b63c010f528f37d1ab46f2"
+
+// TestGoldenPaperCampaignSeed23 pins the full paper campaign's streamed
+// bytes. It has no -update path: a mismatch means the simulator's output
+// changed.
+func TestGoldenPaperCampaignSeed23(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full paper campaign is slow")
+	}
+	sc := MustLoad("paper")
+	tb, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := dataset.NewHashSink()
+	campaign.NewWithTestbed(sc.ApplySchedule(campaign.DefaultConfig(23)), tb).RunTo(h)
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Sum(); got != paperCampaignDigest {
+		t.Errorf("seed-23 paper campaign digest = %s, want %s", got, paperCampaignDigest)
 	}
 }
