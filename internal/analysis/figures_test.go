@@ -226,6 +226,46 @@ func TestFig12KindAttribution(t *testing.T) {
 	}
 }
 
+// TestFig12KindEarliestInWindow puts eight handovers of mixed kinds, out
+// of time order, into one sample's 500 ms interval (plus one on its open
+// lower bound). The interval must be attributed to the earliest handover
+// inside it on every call, not to whichever one a map iteration yields.
+func TestFig12KindEarliestInWindow(t *testing.T) {
+	mk := func(i int, mbps float64, hos int) dataset.ThroughputSample {
+		s := thrSample(radio.TMobile, radio.Downlink, radio.LTE, mbps, 60, time.Duration(i*500)*time.Millisecond)
+		s.HOs = hos
+		return s
+	}
+	ho := func(ms int, from, to radio.Tech) dataset.HandoverRecord {
+		return dataset.HandoverRecord{
+			TestID: 1, Op: radio.TMobile, Dir: radio.Downlink,
+			TimeUTC: base.Add(time.Duration(ms) * time.Millisecond), FromTech: from, ToTech: to,
+		}
+	}
+	ds := &dataset.Dataset{
+		Thr: []dataset.ThroughputSample{mk(0, 40, 0), mk(1, 40, 0), mk(2, 10, 8), mk(3, 50, 0), mk(4, 50, 0)},
+		// Sample index 2 carries time 1.0 s, so its interval is (0.5s, 1.0s]:
+		// the 500 ms handover is outside it, the 520 ms one is the earliest in.
+		Handovers: []dataset.HandoverRecord{
+			ho(900, radio.NRMid, radio.LTE),
+			ho(700, radio.NRMid, radio.NRMid),
+			ho(1000, radio.LTE, radio.LTE),
+			ho(500, radio.NRMid, radio.NRmmW),
+			ho(610, radio.NRMid, radio.LTE),
+			ho(520, radio.LTE, radio.NRMid),
+			ho(800, radio.LTE, radio.LTE),
+			ho(650, radio.NRmmW, radio.LTE),
+			ho(990, radio.NRMid, radio.NRMid),
+		},
+	}
+	for call := 0; call < 200; call++ {
+		byKind := ComputeFig12(ds).ByKind[radio.TMobile][radio.Downlink]
+		if c, ok := byKind["4G->5G"]; len(byKind) != 1 || !ok || c.N() != 1 {
+			t.Fatalf("call %d: dT2 by kind = %v, want one 4G->5G point", call, byKind)
+		}
+	}
+}
+
 func TestFig10Buckets(t *testing.T) {
 	if bucketFor(0) != 0 || bucketFor(0.99) != 3 || bucketFor(1) != 3 || bucketFor(0.5) != 2 {
 		t.Error("bucketFor boundaries wrong")

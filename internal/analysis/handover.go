@@ -92,14 +92,16 @@ func ComputeFig12(ds *dataset.Dataset) Fig12 {
 		}
 		byTest[s.TestID] = append(byTest[s.TestID], s)
 	}
-	// HO kinds per test interval: match handovers to the sample whose
-	// interval contains them.
-	kindAt := map[int]map[int64]string{}
+	// HO kinds per test interval: each test's handovers in time order, so
+	// the sample whose interval contains them can find the first one.
+	kindAt := map[int][]hoAt{}
 	for _, h := range ds.Handovers {
-		if kindAt[h.TestID] == nil {
-			kindAt[h.TestID] = map[int64]string{}
+		kindAt[h.TestID] = append(kindAt[h.TestID], hoAt{h.TimeUTC.UnixNano(), h.Kind()})
+	}
+	for _, hs := range kindAt {
+		if !sort.SliceIsSorted(hs, func(i, j int) bool { return hs[i].t < hs[j].t }) {
+			sort.SliceStable(hs, func(i, j int) bool { return hs[i].t < hs[j].t })
 		}
-		kindAt[h.TestID][h.TimeUTC.UnixNano()] = h.Kind()
 	}
 	d1 := map[radio.Operator]map[radio.Direction][]float64{}
 	d2 := map[radio.Operator]map[radio.Direction][]float64{}
@@ -161,18 +163,22 @@ func ComputeFig12(ds *dataset.Dataset) Fig12 {
 	return out
 }
 
-// hoKindForInterval finds a handover whose timestamp falls within the
-// 500 ms interval ending at the sample's time.
-func hoKindForInterval(kinds map[int64]string, s dataset.ThroughputSample) string {
-	if kinds == nil {
-		return ""
-	}
+// hoAt is one handover's time (Unix ns) and Fig. 12 kind.
+type hoAt struct {
+	t    int64
+	kind string
+}
+
+// hoKindForInterval returns the kind of the earliest handover whose
+// timestamp falls within the 500 ms interval (end-500ms, end] ending at the
+// sample's time, or "" if none does. hs is one test's handovers sorted by
+// time; handovers at the same instant keep their dataset order.
+func hoKindForInterval(hs []hoAt, s dataset.ThroughputSample) string {
 	end := s.TimeUTC.UnixNano()
 	start := end - 500*1e6
-	for t, k := range kinds {
-		if t > start && t <= end {
-			return k
-		}
+	i := sort.Search(len(hs), func(i int) bool { return hs[i].t > start })
+	if i < len(hs) && hs[i].t <= end {
+		return hs[i].kind
 	}
 	return ""
 }

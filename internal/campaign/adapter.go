@@ -36,7 +36,7 @@ type adapter struct {
 
 	// trCur memoizes the trace position: a test's clock only moves forward,
 	// so each tick's position lookup is O(1). Adapters run concurrently (one
-	// per phone in fanOut), so each owns its cursor (by value, so a pooled
+	// per phone lane), so each owns its cursor (by value, so a pooled
 	// adapter carries no heap cursor of its own).
 	trCur geo.TraceCursor
 }
@@ -49,8 +49,8 @@ type adapter struct {
 var adapterPool = sync.Pool{New: func() any { return new(adapter) }}
 
 // newAdapter starts a test at time t for the phone with a pre-allocated
-// test id (ids are handed out before the per-phone goroutines fan out, so
-// they stay deterministic). For driving tests the server is selected at
+// test id (ids are handed out when a job is queued, before any phone runs
+// it, so they stay deterministic). For driving tests the server is selected at
 // test start from the phone's position (as the test harness did); static
 // tests pass their own state.
 func (c *Campaign) newAdapter(id int, ph *phone, t float64, profile ran.Traffic, dir radio.Direction, static *staticState) *adapter {

@@ -8,8 +8,6 @@
 package campaign
 
 import (
-	"sync"
-
 	"wheels/internal/batch"
 	"wheels/internal/dataset"
 	"wheels/internal/deploy"
@@ -23,8 +21,8 @@ import (
 
 // Engine names for Config.Engine.
 const (
-	// EngineScalar is the original per-phone engine: each test phase fans
-	// out one goroutine per phone, each driving its own tick loop. It is
+	// EngineScalar is the original per-phone engine: each phone runs its
+	// tests on a lane goroutine of its own, driving its own tick loop. It is
 	// the oracle: golden hashes are defined by its output and may never be
 	// regenerated from the batch engine.
 	EngineScalar = "scalar"
@@ -139,9 +137,8 @@ type Campaign struct {
 	sink   dataset.Sink
 	nextID int
 
-	// fanOut scratch, lazily built and reset per phase (see fanOut).
-	fanSinks []dataset.Collector
-	fanIDs   []int
+	// lanes runs the phones' tests for the duration of RunTo.
+	lanes *lanes
 
 	// Batched-engine state, lazily built on the first batched cycle: the
 	// lockstep lane group and the trace cursor backing its Where lookups.
@@ -290,12 +287,21 @@ func (c *Campaign) Run() *dataset.Dataset {
 // arrive in the same order Run appends them, so a Collector sink reproduces
 // Run's dataset byte-for-byte. RunTo does not call sink.Flush — the sink's
 // owner does, after all campaigns feeding it have finished.
+//
+// The campaign goroutine walks the schedule and queues its tests; each
+// phone runs them on a lane goroutine of its own (see lanes). Every lane
+// has exited by the time RunTo returns.
 func (c *Campaign) RunTo(sink dataset.Sink) {
 	c.sink = sink
 	c.warmup()
 	if c.Cfg.EnablePassive {
 		c.runPassiveLoggers()
 	}
+	c.lanes = c.startLanes()
+	defer func() {
+		c.lanes.stop()
+		c.lanes = nil
+	}()
 	end := c.endKm()
 	visited := map[string]bool{}
 
@@ -338,7 +344,7 @@ func (c *Campaign) RunTo(sink dataset.Sink) {
 			if city, areaStart, ok := routeCur.CityAreaAt(s.Km); ok && !visited[city.Name] {
 				visited[city.Name] = true
 				if areaStart >= c.startKm {
-					c.runStaticBattery(t, s, city)
+					c.queueStaticBattery(t, s, city)
 				}
 			}
 		}
@@ -348,73 +354,24 @@ func (c *Campaign) RunTo(sink dataset.Sink) {
 		// carriers is what enables the Fig. 6 pairwise analysis).
 		t = c.runCycle(t)
 	}
+	c.lanes.drain()
 }
 
-// fanOut runs one test phase on all three phones concurrently — the real
-// testbed's phones ran simultaneously in the same vehicle. Each phone owns
-// its RNG streams and UE state, so the parallel execution is deterministic;
-// results collect into per-phone Collector sinks and replay into the
-// campaign sink in fixed operator order. One phase holds at most one test's
-// records per phone, so the buffering stays O(cycle), not O(campaign).
-func (c *Campaign) fanOut(run func(sink dataset.Sink, id int, ph *phone)) {
-	// The per-phone collectors and id slice live on the campaign and are
-	// reset per phase, so the fan-out machinery stops allocating once the
-	// tables reach a phase's working size. fanOut runs phases one at a
-	// time from the single campaign goroutine, so reuse cannot race.
-	if c.fanSinks == nil {
-		c.fanSinks = make([]dataset.Collector, len(c.phones))
-		c.fanIDs = make([]int, len(c.phones))
-	}
-	sinks, ids := c.fanSinks, c.fanIDs
-	// Test ids are allocated before the goroutines start, in operator
-	// order, so the dataset is identical to a sequential run.
-	for i := range ids {
-		sinks[i].Reset()
-		ids[i] = c.newTestID()
-	}
-	var wg sync.WaitGroup
-	for i, ph := range c.phones {
-		wg.Add(1)
-		go func(i int, ph *phone) {
-			defer wg.Done()
-			run(&sinks[i], ids[i], ph)
-		}(i, ph)
-	}
-	wg.Wait()
-	// Replaying each phone's tables in operator order preserves the exact
-	// per-table append order of the pre-streaming merge.
-	for i := range sinks {
-		sinks[i].D.EmitTo(c.sink)
-	}
-}
-
-// runCycle runs one round-robin battery starting at t and returns the time
-// at which the next cycle may begin.
+// runCycle queues one round-robin battery starting at t and returns the
+// time at which the next cycle may begin.
 func (c *Campaign) runCycle(t float64) float64 {
 	if c.Cfg.engineBatch() {
 		return c.runCycleBatch(t)
 	}
 	cfg := c.Cfg
-	c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-		c.runBulk(sink, id, ph, t, radio.Downlink, false, nil)
-	})
+	j := c.lanes.next()
+	j.add(phaseBulkDL, t, false)
 	t += cfg.BulkSec + cfg.GapSec
-	c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-		c.runBulk(sink, id, ph, t, radio.Uplink, false, nil)
-	})
+	j.add(phaseBulkUL, t, false)
 	t += cfg.BulkSec + cfg.GapSec
-	c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-		c.runRTT(sink, id, ph, t, false, nil)
-	})
+	j.add(phaseRTT, t, false)
 	t += cfg.RTTSec + cfg.GapSec
-	if cfg.EnableSpeedTest {
-		c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-			c.runSpeedTest(sink, id, ph, t)
-		})
-		t += speedTestSec + cfg.GapSec
-	}
-	if cfg.EnableApps {
-		t = c.runAppBattery(t)
-	}
+	t = c.addAppPhases(j, t)
+	c.lanes.submit(j)
 	return t
 }

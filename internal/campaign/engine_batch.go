@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"wheels/internal/batch"
-	"wheels/internal/dataset"
 	"wheels/internal/geo"
 	"wheels/internal/radio"
 	"wheels/internal/ran"
@@ -25,8 +24,8 @@ func (c *Campaign) ensureBatchGroup() *batch.Group {
 }
 
 // startBatchPhase prepares every lane for one test phase starting at t:
-// test ids are allocated in operator order (exactly as fanOut hands them
-// out before its goroutines start), the server is selected from the phase's
+// test ids are allocated in operator order (exactly as the lanes allocate
+// a cycle's ids when it is queued), the server is selected from the phase's
 // starting position, and stale handover events from between tests are
 // dropped, mirroring the scalar engine's newAdapter.
 func (c *Campaign) startBatchPhase(g *batch.Group, t float64, profile ran.Traffic, dir radio.Direction) {
@@ -42,11 +41,13 @@ func (c *Campaign) startBatchPhase(g *batch.Group, t float64, profile ran.Traffi
 // phases step all three phones in one lockstep pass per tick and emit
 // straight into the campaign sink (lane buffers already hold a full phase,
 // so no per-phone Collector replay is needed; per-table record order is
-// identical to the scalar merge). The speed-test and app phases, which have
-// their own per-connection tick loops, fall back to the scalar fanOut —
-// both engines share those code paths outright.
+// identical to the scalar merge). The lockstep passes step the same phones
+// the lanes do, so the lanes are drained first. The speed-test and app
+// phases, which have their own per-connection tick loops, are queued on the
+// lanes — both engines share those code paths outright.
 func (c *Campaign) runCycleBatch(t float64) float64 {
 	cfg := c.Cfg
+	c.lanes.drain()
 	g := c.ensureBatchGroup()
 
 	for _, dir := range [...]radio.Direction{radio.Downlink, radio.Uplink} {
@@ -71,14 +72,8 @@ func (c *Campaign) runCycleBatch(t float64) float64 {
 	})
 	t += cfg.RTTSec + cfg.GapSec
 
-	if cfg.EnableSpeedTest {
-		c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-			c.runSpeedTest(sink, id, ph, t)
-		})
-		t += speedTestSec + cfg.GapSec
-	}
-	if cfg.EnableApps {
-		t = c.runAppBattery(t)
-	}
+	j := c.lanes.next()
+	t = c.addAppPhases(j, t)
+	c.lanes.submit(j)
 	return t
 }

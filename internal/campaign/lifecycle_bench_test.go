@@ -23,7 +23,7 @@ func BenchmarkTestLifecycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		col.Reset()
-		c.runBulk(&col, i+1, ph, t0, radio.Downlink, false, nil)
+		c.runBulk(&col, i+1, ph, t0, radio.Downlink, nil)
 	}
 }
 
@@ -39,6 +39,6 @@ func BenchmarkTestLifecycleRTT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		col.Reset()
-		c.runRTT(&col, i+1, ph, t0, false, nil)
+		c.runRTT(&col, i+1, ph, t0, nil)
 	}
 }

@@ -20,7 +20,7 @@ const warmupSec = 30.0
 // reused by every shard worker: the seed-independent Testbed (route
 // geometry, server registry) plus the seed-dependent drive trace and
 // per-operator deployments. All of it is read-only after construction — the
-// serial engine already shares it across the fanOut goroutines — so workers
+// serial engine already shares it across the phone lanes — so workers
 // can share it without copies. Everything here derives from the seed alone
 // (never from the shard), which is what keeps the route and radio footprint
 // identical across shard counts.

@@ -37,12 +37,12 @@ func bulkProfile(dir radio.Direction) (ran.Traffic, dataset.TestKind) {
 
 // runBulk runs one nuttcp-style bulk transfer on the scalar engine and
 // records its samples, KPI-joined rows, handovers, and the per-test
-// summary.
-func (c *Campaign) runBulk(sink dataset.Sink, id int, ph *phone, t float64, dir radio.Direction, static bool, st *staticState) {
+// summary. A non-nil st makes it a static test.
+func (c *Campaign) runBulk(sink dataset.Sink, id int, ph *phone, t float64, dir radio.Direction, st *staticState) {
 	profile, _ := bulkProfile(dir)
 	a := c.newAdapter(id, ph, t, profile, dir, st)
 	res := transport.RunBulkWith(&a.Bulk, pathAdapter{a}, c.Cfg.BulkSec)
-	c.emitBulk(sink, &a.Lane, t, dir, static, res)
+	c.emitBulk(sink, &a.Lane, t, dir, st != nil, res)
 	a.release()
 }
 
@@ -107,7 +107,8 @@ func (c *Campaign) emitBulk(sink dataset.Sink, ln *batch.Lane, t float64, dir ra
 const rttIntervalSec = 0.2
 
 // runRTT runs one ping test on the scalar engine and records each sample.
-func (c *Campaign) runRTT(sink dataset.Sink, id int, ph *phone, t float64, static bool, st *staticState) {
+// A non-nil st makes it a static test.
+func (c *Campaign) runRTT(sink dataset.Sink, id int, ph *phone, t float64, st *staticState) {
 	a := c.newAdapter(id, ph, t, ran.RTTProbe, radio.Downlink, st)
 	nextPing := 0.0
 	for tt := 0.0; tt < c.Cfg.RTTSec; tt += rttIntervalSec {
@@ -123,7 +124,7 @@ func (c *Campaign) runRTT(sink dataset.Sink, id int, ph *phone, t float64, stati
 			})
 		}
 	}
-	c.emitRTT(sink, &a.Lane, t, static)
+	c.emitRTT(sink, &a.Lane, t, st != nil)
 	a.release()
 }
 
@@ -245,24 +246,28 @@ func (c *Campaign) runSpeedTest(sink dataset.Sink, id int, ph *phone, t float64)
 	a.release()
 }
 
-// runAppBattery runs the four killer apps on all three phones (AR and CAV
-// with and without compression) and returns the next free time slot.
-func (c *Campaign) runAppBattery(t float64) float64 {
+// addAppPhases appends the tail of a round-robin cycle starting at t to j
+// — the speed test, then the four killer apps (AR and CAV with and without
+// compression) — and returns the next free time slot. Every start time is
+// computed here, on the campaign goroutine, and bound into its phase.
+func (c *Campaign) addAppPhases(j *job, t float64) float64 {
 	cfg := c.Cfg
+	if cfg.EnableSpeedTest {
+		j.add(phaseSpeed, t, false)
+		t += speedTestSec + cfg.GapSec
+	}
+	if !cfg.EnableApps {
+		return t
+	}
 	for _, compressed := range []bool{false, true} {
-		compressed := compressed
-		c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-			c.runOffload(sink, id, ph, t, offload.ARConfig(), dataset.TestAR, compressed)
-		})
+		j.add(phaseAR, t, compressed)
 		t += offload.ARConfig().DurSec + cfg.GapSec
-		c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-			c.runOffload(sink, id, ph, t, offload.CAVConfig(), dataset.TestCAV, compressed)
-		})
+		j.add(phaseCAV, t, compressed)
 		t += offload.CAVConfig().DurSec + cfg.GapSec
 	}
-	c.fanOut(func(sink dataset.Sink, id int, ph *phone) { c.runVideo(sink, id, ph, t) })
+	j.add(phaseVideo, t, false)
 	t += cfg.VideoSec + cfg.GapSec
-	c.fanOut(func(sink dataset.Sink, id int, ph *phone) { c.runGaming(sink, id, ph, t) })
+	j.add(phaseGaming, t, false)
 	t += cfg.GamingSec + cfg.GapSec
 	return t
 }
@@ -304,27 +309,31 @@ func (c *Campaign) runGaming(sink dataset.Sink, id int, ph *phone, t float64) {
 	a.release()
 }
 
-// runStaticBattery runs the static city baseline (§5.1): the team searched
-// each city for a 5G mmWave base station and measured facing it, falling
-// back to mid-band where mmWave could not be found — which in practice
-// meant mmWave for Verizon and AT&T and mid-band for T-Mobile (Fig. 3a).
-func (c *Campaign) runStaticBattery(t float64, s geo.Sample, city geo.City) {
-	for _, ph := range c.phones {
+// queueStaticBattery queues the static city baseline (§5.1): the team
+// searched each city for a 5G mmWave base station and measured facing it,
+// falling back to mid-band where mmWave could not be found — which in
+// practice meant mmWave for Verizon and AT&T and mid-band for T-Mobile
+// (Fig. 3a). Each phone runs a DL, UL and ping test on its pinned link.
+func (c *Campaign) queueStaticBattery(t float64, s geo.Sample, city geo.City) {
+	j := c.lanes.next()
+	j.static = make([]*staticState, len(c.phones))
+	for i, ph := range c.phones {
 		tech := radio.NRmmW
 		if ph.op == radio.TMobile && !ph.dep.HasTech(s.Km, radio.NRmmW) {
 			tech = radio.NRMid
 		}
-		st := &staticState{
+		j.static[i] = &staticState{
 			link: radio.NewLink(c.rng.Stream("static", city.Name, ph.op.String(), tech.String()), ph.op, tech),
 			tech: tech,
 			km:   s.Km,
 			pos:  city.Pos,
 			zone: s.Zone,
 		}
-		c.runBulk(c.sink, c.newTestID(), ph, t, radio.Downlink, true, st)
-		c.runBulk(c.sink, c.newTestID(), ph, t+c.Cfg.BulkSec+2, radio.Uplink, true, st)
-		c.runRTT(c.sink, c.newTestID(), ph, t+2*(c.Cfg.BulkSec+2), true, st)
 	}
+	j.add(phaseBulkDL, t, false)
+	j.add(phaseBulkUL, t+c.Cfg.BulkSec+2, false)
+	j.add(phaseRTT, t+2*(c.Cfg.BulkSec+2), false)
+	c.lanes.submit(j)
 }
 
 // runPassiveLoggers walks three dedicated idle UEs (one per carrier)

@@ -128,7 +128,7 @@ func EmitPassiveAll(sink Sink, recs []PassiveSample) {
 // Replaying a Collector's dataset reproduces the original per-table emit
 // order, which is what makes streaming and materialized consumers
 // byte-equivalent. Each table goes through the batch helpers, so replaying
-// into batch-aware sinks (the fleet reduction, the fan-out merge) costs six
+// into batch-aware sinks (the fleet reduction, the phone-lane replay) costs six
 // dispatches per member, not one per record.
 func (d *Dataset) EmitTo(sink Sink) {
 	EmitThrAll(sink, d.Thr)

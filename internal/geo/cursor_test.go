@@ -36,7 +36,10 @@ func TestCursorMatchesRoute(t *testing.T) {
 }
 
 // TestTraceCursorMatchesAt sweeps a drive trace forward (with rewinds) and
-// checks the cursor index against the binary-search Trace.At.
+// checks the cursor index against the binary-search Trace.At. It then
+// replays the pooled test-adapter pattern: a cursor Reset to index 0 whose
+// first lookup lands anywhere in the multi-day trace, which takes the
+// far-ahead binary search rather than the O(1) bump.
 func TestTraceCursorMatchesAt(t *testing.T) {
 	r := NewRoute()
 	tr := Drive(r, sim.NewRNG(23).Stream("drive"))
@@ -51,6 +54,70 @@ func TestTraceCursorMatchesAt(t *testing.T) {
 			t.Fatalf("At(%.2f): cursor %d, trace %d", tt, got, want)
 		}
 	}
+
+	// check resets a cursor as newAdapter does, then looks up tt followed
+	// by a few 20 ms ticks of the test that would start there.
+	var pooled TraceCursor
+	check := func(what string, tt float64) {
+		t.Helper()
+		pooled.Reset(tr)
+		for k := 0; k < 3; k++ {
+			at := tt + 0.02*float64(k)
+			if got, want := pooled.At(at), tr.At(at); got != want {
+				t.Fatalf("%s: At(%.2f) after Reset: cursor %d, trace %d", what, at, got, want)
+			}
+		}
+	}
+
+	// Every test start of a round-robin schedule over the whole trace
+	// (bulk DL, bulk UL, ping, speed test, app runs, each plus its setup
+	// gap), including the instants that fall inside an overnight gap
+	// before the schedule jumps to the next day's first sample.
+	durs := []float64{35, 35, 25, 20, 65, 65, 65, 65, 185, 65}
+	starts, gaps := 0, 0
+	for tt, k := tr.Samples[0].T, 0; tt <= last; k++ {
+		check("test start", tt)
+		starts++
+		if idx := tr.At(tt); tt-tr.Samples[idx].T > 2 {
+			gaps++
+			tt = tr.Samples[idx+1].T
+			continue
+		}
+		tt += durs[k%len(durs)]
+	}
+	if gaps == 0 {
+		t.Fatalf("schedule of %d starts never entered an overnight gap", starts)
+	}
+	// Inside every overnight gap, at its midpoint and just before the
+	// next day's first sample.
+	for i := 1; i < len(tr.Samples); i++ {
+		if a, b := tr.Samples[i-1].T, tr.Samples[i].T; b-a > 2 {
+			check("gap midpoint", (a+b)/2)
+			check("gap end", b-0.001)
+			check("day start", b)
+		}
+	}
+	// The bump/search boundary: exactly cursorBumpSamples and one more
+	// ahead of the cursor, from a reset cursor and from mid-trace.
+	for _, base := range []int{0, len(tr.Samples) / 2} {
+		for _, ahead := range []int{cursorBumpSamples - 1, cursorBumpSamples, cursorBumpSamples + 1} {
+			pooled.Reset(tr)
+			if got, want := pooled.At(tr.Samples[base].T), base; got != want {
+				t.Fatalf("At(sample %d): cursor %d", base, got)
+			}
+			tt := tr.Samples[base+ahead].T
+			for _, at := range []float64{tt - 0.5, tt, tt + 0.5} {
+				c := pooled
+				if got, want := c.At(at), tr.At(at); got != want {
+					t.Fatalf("%d samples ahead of %d: At(%.2f): cursor %d, trace %d", ahead, base, at, got, want)
+				}
+			}
+		}
+	}
+	// Past the end of the trace.
+	check("last sample", last)
+	check("past the end", last+1)
+	check("far past the end", last+1e6)
 }
 
 // TestCursorAllocationFree pins the cursor queries at zero allocations.

@@ -132,13 +132,23 @@ func (tr *Trace) At(t float64) int {
 // TraceCursor memoizes the last sample index so a caller advancing
 // monotonically in time (a test adapter ticking at 20 ms, the campaign's
 // cycle loop) resolves At in O(1) amortized instead of a binary search over
-// the ~200k-sample trace per tick. Results are identical to Trace.At;
-// backward jumps fall back to the binary search. Not safe for concurrent
-// use; derive one per goroutine.
+// the ~200k-sample trace per tick. A target at most cursorBumpSamples ahead
+// is reached by bumping the index; a target further ahead (the first lookup
+// of a freshly reset cursor, a jump across an overnight gap) binary-searches
+// the tail, and a backward jump binary-searches the whole trace. Results
+// are identical to Trace.At either way. Not safe for concurrent use; derive
+// one per goroutine.
 type TraceCursor struct {
 	tr  *Trace
 	idx int
 }
+
+// cursorBumpSamples is how far ahead TraceCursor.At walks the index one
+// sample at a time before switching to a binary search of the tail. A test
+// tick advances by a fraction of a sample, so steady-state lookups stay on
+// the O(1) bump; a pooled adapter's first lookup, which may lie days of
+// trace ahead of index 0, costs O(log n) instead of a linear scan.
+const cursorBumpSamples = 64
 
 // Cursor returns a new trace cursor positioned at the start of the trace.
 func (tr *Trace) Cursor() *TraceCursor { return &TraceCursor{tr: tr} }
@@ -156,6 +166,20 @@ func (c *TraceCursor) At(t float64) int {
 	}
 	if t < s[c.idx].T {
 		c.idx = c.tr.At(t)
+		return c.idx
+	}
+	if far := c.idx + cursorBumpSamples; far < len(s) && s[far].T <= t {
+		// The answer lies in (far, len(s)): binary-search the tail.
+		lo, hi := far+1, len(s)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if s[mid].T <= t {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		c.idx = lo - 1
 		return c.idx
 	}
 	for c.idx+1 < len(s) && s[c.idx+1].T <= t {
