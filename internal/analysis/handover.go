@@ -99,9 +99,7 @@ func ComputeFig12(ds *dataset.Dataset) Fig12 {
 		kindAt[h.TestID] = append(kindAt[h.TestID], hoAt{h.TimeUTC.UnixNano(), h.Kind()})
 	}
 	for _, hs := range kindAt {
-		if !sort.SliceIsSorted(hs, func(i, j int) bool { return hs[i].t < hs[j].t }) {
-			sort.SliceStable(hs, func(i, j int) bool { return hs[i].t < hs[j].t })
-		}
+		sort.SliceStable(hs, func(i, j int) bool { return hs[i].t < hs[j].t })
 	}
 	d1 := map[radio.Operator]map[radio.Direction][]float64{}
 	d2 := map[radio.Operator]map[radio.Direction][]float64{}

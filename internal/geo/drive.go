@@ -169,7 +169,7 @@ func (c *TraceCursor) At(t float64) int {
 		return c.idx
 	}
 	if far := c.idx + cursorBumpSamples; far < len(s) && s[far].T <= t {
-		// The answer lies in (far, len(s)): binary-search the tail.
+		// The answer lies at or after far: binary-search the tail.
 		lo, hi := far+1, len(s)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
