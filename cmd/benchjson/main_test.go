@@ -13,10 +13,10 @@ func f(v float64) *float64 { return &v }
 // repeats average over the runs that have them.
 func TestMergeRepeats(t *testing.T) {
 	in := []Result{
-		{Name: "BenchmarkFleetBatch", Package: "p", Iterations: 10, NsPerOp: 100,
+		{Name: "BenchmarkSweep", Package: "p", Iterations: 10, NsPerOp: 100,
 			BytesPerOp: f(1000), Metrics: map[string]float64{"seeds/hour": 40000}},
 		{Name: "BenchmarkFleet", Package: "p", Iterations: 5, NsPerOp: 300},
-		{Name: "BenchmarkFleetBatch", Package: "p", Iterations: 20, NsPerOp: 200,
+		{Name: "BenchmarkSweep", Package: "p", Iterations: 20, NsPerOp: 200,
 			Metrics: map[string]float64{"seeds/hour": 44000, "live-MB/seed": 3}},
 	}
 	out := mergeRepeats(in)
@@ -24,7 +24,7 @@ func TestMergeRepeats(t *testing.T) {
 		t.Fatalf("got %d entries, want 2", len(out))
 	}
 	b := out[0]
-	if b.Name != "BenchmarkFleetBatch" || out[1].Name != "BenchmarkFleet" {
+	if b.Name != "BenchmarkSweep" || out[1].Name != "BenchmarkFleet" {
 		t.Fatalf("order: %q, %q", out[0].Name, out[1].Name)
 	}
 	if b.Iterations != 30 || b.NsPerOp != 150 {
@@ -52,13 +52,13 @@ func TestMergeRepeats(t *testing.T) {
 // blended — with iterations summed and first-seen order preserved.
 func TestMergeBest(t *testing.T) {
 	in := []Result{
-		{Name: "BenchmarkFleetBatch", Package: "p", Iterations: 10, NsPerOp: 300,
+		{Name: "BenchmarkSweep", Package: "p", Iterations: 10, NsPerOp: 300,
 			BytesPerOp: f(1000), Metrics: map[string]float64{"seeds/hour": 36000}},
 		{Name: "BenchmarkFleet", Package: "p", Iterations: 5, NsPerOp: 300,
 			Metrics: map[string]float64{"seeds/hour": 37000}},
-		{Name: "BenchmarkFleetBatch", Package: "p", Iterations: 20, NsPerOp: 250,
+		{Name: "BenchmarkSweep", Package: "p", Iterations: 20, NsPerOp: 250,
 			BytesPerOp: f(900), Metrics: map[string]float64{"seeds/hour": 42000, "live-MB/seed": 3}},
-		{Name: "BenchmarkFleetBatch", Package: "p", Iterations: 15, NsPerOp: 280,
+		{Name: "BenchmarkSweep", Package: "p", Iterations: 15, NsPerOp: 280,
 			Metrics: map[string]float64{"seeds/hour": 39000}},
 	}
 	out := mergeBest(in)
@@ -66,7 +66,7 @@ func TestMergeBest(t *testing.T) {
 		t.Fatalf("got %d entries, want 2", len(out))
 	}
 	b := out[0]
-	if b.Name != "BenchmarkFleetBatch" || out[1].Name != "BenchmarkFleet" {
+	if b.Name != "BenchmarkSweep" || out[1].Name != "BenchmarkFleet" {
 		t.Fatalf("order: %q, %q", out[0].Name, out[1].Name)
 	}
 	if b.Iterations != 45 || b.NsPerOp != 250 {

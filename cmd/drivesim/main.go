@@ -7,11 +7,12 @@
 //
 //	drivesim [-scenario NAME] [-seed N] [-km N] [-out DIR] [-stream-out DIR]
 //	         [-quick] [-video SEC] [-gaming SEC] [-shards N] [-workers N]
-//	         [-progress] [-engine scalar|batch]
+//	         [-rawlogs DIR] [-progress]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // With no flags it reproduces the paper's full methodology (about a minute
-// of wall time); -quick runs network tests only over the first 200 km.
+// of wall time); -quick runs network tests only, over the first -km km
+// (200 when -km is not set).
 // -scenario selects the route: a library name ("paper", "dense-urban",
 // "interstate-only", "mountain-sparse", "commuter-loop", "mmwave-downtown")
 // or "random:<seed>" for a procedurally generated route. The default
@@ -27,9 +28,6 @@
 // compression runs on -stream-workers cores (chunked multi-member gzip,
 // byte-deterministic regardless of the worker count); -stream-workers 1
 // selects the serial single-member writer.
-// -engine batch selects the batched struct-of-arrays tick engine for the
-// driving test phases; its output is byte-identical to the default scalar
-// engine, which remains the oracle (see DESIGN.md "Batched tick engine").
 // -cpuprofile and -memprofile write pprof profiles covering the campaign
 // run (see README "Profiling the hot path").
 package main
@@ -58,14 +56,13 @@ func main() {
 		out      = flag.String("out", "dataset", "output directory for the CSV dataset")
 		stream   = flag.String("stream-out", "", "stream gzip CSVs to this directory without materializing the dataset (replaces -out/-gzip)")
 		streamW  = flag.Int("stream-workers", 0, "gzip compression workers for -stream-out (0 = GOMAXPROCS, 1 = serial single-member writer)")
-		quick    = flag.Bool("quick", false, "network tests only, first 200 km")
+		quick    = flag.Bool("quick", false, "network tests only, first 200 km unless -km is set")
 		video    = flag.Float64("video", 180, "video session length in seconds")
 		gaming   = flag.Float64("gaming", 60, "gaming session length in seconds")
 		gz       = flag.Bool("gzip", false, "write the dataset gzip-compressed (.csv.gz)")
 		rawDir   = flag.String("rawlogs", "", "also write raw XCAL + app log files per bulk test into this directory")
 		shards   = flag.Int("shards", 1, "split the route into N segments simulated in parallel (1 = serial engine)")
 		workers  = flag.Int("workers", 0, "max shard workers running at once (0 = GOMAXPROCS)")
-		engine   = flag.String("engine", campaign.EngineScalar, "tick engine: scalar (per-phone goroutines, the oracle) or batch (lockstep struct-of-arrays; byte-identical output)")
 		progress = flag.Bool("progress", false, "print a per-day km ticker on stderr (serial engine only)")
 		verbose  = flag.Bool("v", false, "alias for -progress")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the campaign run to this file")
@@ -82,22 +79,12 @@ func main() {
 		log.Fatalf("-scenario %s: %v", *scn, err)
 	}
 
-	cfg := campaign.DefaultConfig(*seed)
-	cfg.KmLimit = *km
-	cfg.VideoSec = *video
-	cfg.GamingSec = *gaming
-	cfg.RawLogDir = *rawDir
-	if *quick {
-		cfg = campaign.QuickConfig(*seed, 200)
-	}
+	cfg := configFromFlags(runFlags{
+		seed: *seed, km: *km, quick: *quick,
+		videoSec: *video, gamingSec: *gaming, rawLogDir: *rawDir,
+	})
 	// The scenario's pinned schedule phases override the flag-derived mix.
 	cfg = sc.ApplySchedule(cfg)
-	switch *engine {
-	case campaign.EngineScalar, campaign.EngineBatch:
-		cfg.Engine = *engine
-	default:
-		log.Fatalf("unknown -engine %q (want %s or %s)", *engine, campaign.EngineScalar, campaign.EngineBatch)
-	}
 	// campaign.Config.Progress drives the ticker; the fleet CLI prints the
 	// same style of per-unit lines, one per completed seed.
 	if *progress || *verbose {
@@ -115,9 +102,6 @@ func main() {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			log.Fatalf("starting CPU profile: %v", err)
 		}
-		// Tag the engine's phases (control/kernel/emit/hash) in the profile.
-		campaign.ProfilePhases = true
-		dataset.ProfilePhases = true
 	}
 
 	rt := tb.Route
@@ -203,6 +187,36 @@ func main() {
 	}
 	fmt.Println(analysis.ComputeTable1(ds, rt.LengthKm(), rt.States(), len(rt.Cities)).Render())
 	fmt.Printf("dataset written to %s\n", *out)
+}
+
+// quickKm is the route limit of a -quick run that does not set -km.
+const quickKm = 200
+
+// runFlags are the command-line values that shape the campaign config.
+type runFlags struct {
+	seed                int64
+	km                  float64
+	quick               bool
+	videoSec, gamingSec float64
+	rawLogDir           string
+}
+
+// configFromFlags builds the campaign config the flags describe: the
+// paper's full methodology, or the network-only quick campaign with -quick.
+// Every flag applies on top of either base, so -quick keeps -km, -rawlogs
+// and the app session lengths.
+func configFromFlags(f runFlags) campaign.Config {
+	cfg := campaign.DefaultConfig(f.seed)
+	if f.quick {
+		cfg = campaign.QuickConfig(f.seed, quickKm)
+	}
+	if f.km > 0 {
+		cfg.KmLimit = f.km
+	}
+	cfg.VideoSec = f.videoSec
+	cfg.GamingSec = f.gamingSec
+	cfg.RawLogDir = f.rawLogDir
+	return cfg
 }
 
 func describe(cfg campaign.Config) string {

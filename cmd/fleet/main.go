@@ -8,8 +8,8 @@
 //
 //	fleet [-scenario LIST] [-seeds N] [-start-seed S] [-workers W] [-shards K]
 //	      [-checkpoint FILE] [-verify-resume] [-out FILE] [-html FILE]
-//	      [-dump-dir DIR] [-quick] [-km N] [-apps=false] [-engine scalar|batch]
-//	      [-procs N] [-cpuprofile FILE] [-memprofile FILE]
+//	      [-dump-dir DIR] [-quick] [-km N] [-apps=false] [-procs N]
+//	      [-cpuprofile FILE] [-memprofile FILE]
 //
 // -scenario takes a comma-separated list of route scenarios (library names
 // like "paper" or "dense-urban", or "random:<seed>" for a procedurally
@@ -23,8 +23,8 @@
 // -cpuprofile and -memprofile write pprof profiles covering the fleet run
 // (all seeds, all workers), mirroring drivesim's flags: the CPU profile
 // spans fleet.Run only, and the heap profile is written after a final GC so
-// it shows live objects. This is the profile source DESIGN.md's PGO recipe
-// and the kernel-bank cost model are built from.
+// it shows live objects. This is the profile source of the README's PGO
+// recipe.
 //
 // With -checkpoint, completed seeds append to FILE as JSON lines; an
 // interrupted fleet re-run with the same flags resumes, skipping the seeds
@@ -86,7 +86,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "network tests only, first 200 km per seed")
 		km         = flag.Float64("km", 0, "truncate each campaign to the first N km (0 = full trip)")
 		apps       = flag.Bool("apps", true, "run the four killer apps in each campaign")
-		engine     = flag.String("engine", campaign.EngineScalar, "tick engine: scalar (per-phone goroutines, the oracle) or batch (lockstep struct-of-arrays; byte-identical output)")
 		procs      = flag.Int("procs", 1, "partition the sweep across N spawned fleet processes (requires -checkpoint; output is byte-identical to -procs 1)")
 		coordShard = flag.String("coord-shard", "", "internal: run as coordinator worker i/N against checkpoint shard i (set by -procs, not by hand)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the fleet run to this file")
@@ -116,12 +115,6 @@ func main() {
 		if *km > 0 {
 			base.KmLimit = *km
 		}
-	}
-	switch *engine {
-	case campaign.EngineScalar, campaign.EngineBatch:
-		base.Engine = *engine
-	default:
-		log.Fatalf("unknown -engine %q (want %s or %s)", *engine, campaign.EngineScalar, campaign.EngineBatch)
 	}
 
 	// Compile every requested scenario once up front: a bad name fails
@@ -234,7 +227,6 @@ func main() {
 					"-workers", strconv.Itoa(*workers),
 					"-shards", strconv.Itoa(*shards),
 					"-checkpoint", *checkpoint,
-					"-engine", *engine,
 					"-km", strconv.FormatFloat(*km, 'g', -1, 64),
 					fmt.Sprintf("-apps=%t", *apps),
 					fmt.Sprintf("-quick=%t", *quick),
@@ -266,11 +258,6 @@ func main() {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			log.Fatalf("starting CPU profile: %v", err)
 		}
-		// Phase labels (control/kernel/emit/hash) cost a little per phase,
-		// so they ride the profiling flag rather than being always on. See
-		// the README profiling walkthrough for reading them.
-		campaign.ProfilePhases = true
-		dataset.ProfilePhases = true
 	}
 
 	rep, err := fleet.Run(cfg)

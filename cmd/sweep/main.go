@@ -14,7 +14,7 @@
 //	sweep [-scenario LIST] [-grid FILE] [-seeds N] [-start-seed S]
 //	      [-workers W] [-shards K] [-checkpoint FILE] [-verify-resume]
 //	      [-out FILE] [-html FILE] [-quick] [-km N] [-apps=false]
-//	      [-engine scalar|batch] [-print-grid]
+//	      [-print-grid]
 //
 // -grid names a JSON file shaped like:
 //
@@ -193,7 +193,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "network tests only, first 200 km per seed")
 		km         = flag.Float64("km", 0, "truncate each campaign to the first N km (0 = full trip)")
 		apps       = flag.Bool("apps", true, "run the four killer apps in each campaign")
-		engine     = flag.String("engine", campaign.EngineScalar, "tick engine: scalar or batch (byte-identical output)")
 		printGrid  = flag.Bool("print-grid", false, "print the effective policy grid as JSON and exit")
 	)
 	flag.Parse()
@@ -227,12 +226,6 @@ func main() {
 		if *km > 0 {
 			base.KmLimit = *km
 		}
-	}
-	switch *engine {
-	case campaign.EngineScalar, campaign.EngineBatch:
-		base.Engine = *engine
-	default:
-		log.Fatalf("unknown -engine %q (want %s or %s)", *engine, campaign.EngineScalar, campaign.EngineBatch)
 	}
 
 	// Compile each scenario once, then stamp one testbed per grid policy: a

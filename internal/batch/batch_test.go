@@ -12,39 +12,51 @@ import (
 	"wheels/internal/transport"
 )
 
-// testGroup builds a three-lane group (one lane per operator, the paper's
-// testbed shape) over a synthetic straight-line drive at 60 mph, with a
-// server bound per lane. The synthetic Where avoids the campaign's trace
-// machinery so the tests pin down this package alone.
-func testGroup(tb testing.TB, seed int64) *Group {
+// testDrive is a synthetic straight-line drive at 60 mph: the fixture
+// avoids the campaign's trace machinery so the tests pin down this package
+// alone.
+type testDrive struct{ cur *geo.Cursor }
+
+func (d testDrive) at(t float64) geo.Sample {
+	km := 60 * geo.KmPerMile / 3600 * t
+	return geo.Sample{
+		T: t, Km: km, Pos: d.cur.PosAt(km), MPH: 60,
+		Road: d.cur.RoadClassAt(km), Zone: d.cur.TimezoneAt(km),
+	}
+}
+
+// testLane binds one Verizon lane to a fresh UE and latency model over the
+// paper route.
+func testLane(tb testing.TB, seed int64) (*Lane, testDrive) {
 	tb.Helper()
 	route := geo.NewRoute()
 	rng := sim.NewRNG(seed)
-	g := &Group{Lanes: make([]Lane, len(radio.Operators()))}
-	cur := route.Cursor()
-	for i, op := range radio.Operators() {
-		dep := deploy.New(route, op, rng.Stream("deploy-"+op.String()))
-		ue := ran.NewUE(rng.Stream("ue-"+op.String()), dep)
-		lat := transport.NewLatencyModel(rng.Stream("lat-"+op.String()), op)
-		g.Lanes[i].Bind(op, ue, lat)
-	}
-	g.Where = func(t float64) geo.Sample {
-		km := 60 * geo.KmPerMile / 3600 * t
-		return geo.Sample{
-			T: t, Km: km, Pos: cur.PosAt(km), MPH: 60,
-			Road: cur.RoadClassAt(km), Zone: cur.TimezoneAt(km),
-		}
-	}
-	return g
+	op := radio.Verizon
+	dep := deploy.New(route, op, rng.Stream("deploy-"+op.String()))
+	ln := &Lane{}
+	ln.Bind(op, ran.NewUE(rng.Stream("ue-"+op.String()), dep), transport.NewLatencyModel(rng.Stream("lat-"+op.String()), op))
+	return ln, testDrive{cur: route.Cursor()}
 }
 
-// startPhase puts every lane at the top of a bulk phase at time t.
-func startPhase(g *Group, id int, t float64, dir radio.Direction) {
-	s := g.Where(t)
-	for i := range g.Lanes {
-		ln := &g.Lanes[i]
-		ln.UE.TakeHandovers()
-		ln.StartPhase(id+i, t, ran.BacklogDL, dir, servers.Server{Kind: servers.Cloud, Pos: s.Pos})
+// startPhase puts the lane at the top of a phase at time t.
+func startPhase(ln *Lane, d testDrive, id int, t float64, profile ran.Traffic, dir radio.Direction) {
+	ln.UE.TakeHandovers()
+	ln.StartPhase(id, t, profile, dir, servers.Server{Kind: servers.Cloud, Pos: d.at(t).Pos})
+}
+
+// runBulk drives one bulk phase of durSec seconds the way the campaign's
+// test adapter does: Advance one transport tick, then feed the path state
+// to the lane's flow.
+func runBulk(ln *Lane, d testDrive, durSec float64) {
+	ln.Bulk.Reset(durSec)
+	for i := 0; float64(i)*transport.TickSec < durSec; i++ {
+		s := d.at(ln.T + transport.TickSec)
+		dl, ul, rtt, outage := ln.Advance(transport.TickSec, &s)
+		cap := dl
+		if ln.Dir == radio.Uplink {
+			cap = ul
+		}
+		ln.Bulk.Tick(i, transport.PathState{CapBps: cap, BaseRTTms: rtt, Outage: outage})
 	}
 }
 
@@ -53,38 +65,33 @@ func startPhase(g *Group, id int, t float64, dir radio.Direction) {
 // state from the previous phase leaks into the next — the property that
 // makes lane reuse across tests (and across fleet seeds) sound.
 func TestStartPhaseClearsLane(t *testing.T) {
-	g := testGroup(t, 23)
-	startPhase(g, 1, 30, radio.Downlink)
-	g.RunBulk(20)
-	for i := range g.Lanes {
-		if len(g.Lanes[i].Rows) == 0 {
-			t.Fatalf("lane %d: phase produced no KPI rows; test setup is wrong", i)
-		}
+	ln, d := testLane(t, 23)
+	startPhase(ln, d, 1, 30, ran.BacklogDL, radio.Downlink)
+	runBulk(ln, d, 20)
+	if len(ln.Rows) == 0 {
+		t.Fatal("phase produced no KPI rows; test setup is wrong")
 	}
 
-	startPhase(g, 10, 120, radio.Uplink)
-	for i := range g.Lanes {
-		ln := &g.Lanes[i]
-		if len(ln.Rows) != 0 || len(ln.HORecs) != 0 || len(ln.Pings) != 0 {
-			t.Errorf("lane %d: buffers not cleared: %d rows, %d handovers, %d pings",
-				i, len(ln.Rows), len(ln.HORecs), len(ln.Pings))
-		}
-		if ln.T != 120 {
-			t.Errorf("lane %d: T = %v, want 120", i, ln.T)
-		}
-		if ln.Last != (ran.Snapshot{}) || ln.LastS != (geo.Sample{}) {
-			t.Errorf("lane %d: Last/LastS not zeroed", i)
-		}
-		if ln.accDur != 0 || ln.accRSRP != 0 || ln.accSINR != 0 || ln.accBLER != 0 || ln.accHOs != 0 {
-			t.Errorf("lane %d: KPI accumulators not zeroed: dur=%v rsrp=%v sinr=%v bler=%v hos=%d",
-				i, ln.accDur, ln.accRSRP, ln.accSINR, ln.accBLER, ln.accHOs)
-		}
-		if ln.wireInit {
-			t.Errorf("lane %d: wire-RTT memo not invalidated", i)
-		}
-		if ln.Dir != radio.Uplink || ln.TestID != 10+i {
-			t.Errorf("lane %d: phase parameters not applied: dir=%v id=%d", i, ln.Dir, ln.TestID)
-		}
+	startPhase(ln, d, 10, 120, ran.BacklogUL, radio.Uplink)
+	if len(ln.Rows) != 0 || len(ln.HORecs) != 0 || len(ln.Pings) != 0 {
+		t.Errorf("buffers not cleared: %d rows, %d handovers, %d pings",
+			len(ln.Rows), len(ln.HORecs), len(ln.Pings))
+	}
+	if ln.T != 120 {
+		t.Errorf("T = %v, want 120", ln.T)
+	}
+	if ln.Last != (ran.Snapshot{}) || ln.LastS != (geo.Sample{}) {
+		t.Error("Last/LastS not zeroed")
+	}
+	if ln.accDur != 0 || ln.accRSRP != 0 || ln.accSINR != 0 || ln.accBLER != 0 || ln.accHOs != 0 {
+		t.Errorf("KPI accumulators not zeroed: dur=%v rsrp=%v sinr=%v bler=%v hos=%d",
+			ln.accDur, ln.accRSRP, ln.accSINR, ln.accBLER, ln.accHOs)
+	}
+	if ln.wireInit {
+		t.Error("wire-RTT memo not invalidated")
+	}
+	if ln.Dir != radio.Uplink || ln.Profile != ran.BacklogUL || ln.TestID != 10 {
+		t.Errorf("phase parameters not applied: dir=%v profile=%v id=%d", ln.Dir, ln.Profile, ln.TestID)
 	}
 }
 
@@ -93,11 +100,10 @@ func TestStartPhaseClearsLane(t *testing.T) {
 // grown backing arrays still attached, so a recycled lane neither leaks
 // pointers nor re-allocates its way back to working size.
 func TestRecycleKeepsBuffersDropsState(t *testing.T) {
-	g := testGroup(t, 23)
-	startPhase(g, 1, 30, radio.Downlink)
-	g.RunBulk(20)
+	ln, d := testLane(t, 23)
+	startPhase(ln, d, 1, 30, ran.BacklogDL, radio.Downlink)
+	runBulk(ln, d, 20)
 
-	ln := &g.Lanes[0]
 	rowCap, hoCap := cap(ln.Rows), cap(ln.HORecs)
 	if rowCap == 0 {
 		t.Fatal("phase produced no KPI rows; test setup is wrong")
@@ -116,23 +122,20 @@ func TestRecycleKeepsBuffersDropsState(t *testing.T) {
 	}
 }
 
-// TestGroupSteadyStateAllocFree drives the group through warm-up phases
-// until every buffer reaches its working size, then requires that further
-// bulk and RTT phases allocate nothing at all. This is the batched
-// engine's core performance property: the per-tick hot loop touches only
-// pre-grown contiguous lane state.
-func TestGroupSteadyStateAllocFree(t *testing.T) {
-	g := testGroup(t, 23)
+// TestLaneSteadyStateAllocFree drives one lane through warm-up bulk phases
+// until its buffers reach their working size, then requires that further
+// phases — Advance plus the flow tick, every transport tick — allocate
+// nothing at all: the per-tick hot loop touches only pre-grown lane state.
+func TestLaneSteadyStateAllocFree(t *testing.T) {
+	ln, d := testLane(t, 23)
 	// Re-drive the same route window each run: the per-run work is then
 	// constant, and the UE's unique-cell set saturates during warm-up so
 	// its map stops growing.
 	runOnce := func() {
-		startPhase(g, 1, 30, radio.Downlink)
-		g.RunBulk(20)
-		startPhase(g, 4, 55, radio.Downlink)
-		g.RunRTT(10, 0.2)
+		startPhase(ln, d, 1, 30, ran.BacklogDL, radio.Downlink)
+		runBulk(ln, d, 20)
 	}
-	for i := 0; i < 5; i++ { // grow buffers and the camped-cell set to working size
+	for i := 0; i < 5; i++ {
 		runOnce()
 	}
 	if avg := testing.AllocsPerRun(5, runOnce); avg != 0 {

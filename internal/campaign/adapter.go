@@ -22,11 +22,9 @@ type staticState struct {
 	zone geo.Timezone
 }
 
-// adapter drives one phone through one test on the scalar engine: it
-// advances the embedded batch.Lane (the shared per-tick core both engines
-// run) tick by tick, resolving the vehicle position from its own trace
-// cursor. The batched engine advances the same Lane type from a lockstep
-// loop in internal/batch instead.
+// adapter drives one phone through one test: it advances the embedded
+// batch.Lane (the per-tick core of every test) tick by tick, resolving the
+// vehicle position from its own trace cursor.
 type adapter struct {
 	batch.Lane
 

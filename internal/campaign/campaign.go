@@ -8,7 +8,6 @@
 package campaign
 
 import (
-	"wheels/internal/batch"
 	"wheels/internal/dataset"
 	"wheels/internal/deploy"
 	"wheels/internal/geo"
@@ -19,27 +18,9 @@ import (
 	"wheels/internal/transport"
 )
 
-// Engine names for Config.Engine.
-const (
-	// EngineScalar is the original per-phone engine: each phone runs its
-	// tests on a lane goroutine of its own, driving its own tick loop. It is
-	// the oracle: golden hashes are defined by its output and may never be
-	// regenerated from the batch engine.
-	EngineScalar = "scalar"
-	// EngineBatch is the batched struct-of-arrays engine: the driving
-	// bulk/RTT phases step all phones in one lockstep pass per tick.
-	// Output is byte-identical to the scalar engine's (enforced by the
-	// differential tests).
-	EngineBatch = "batch"
-)
-
 // Config controls the scope of a campaign run.
 type Config struct {
 	Seed int64
-
-	// Engine selects the tick engine: EngineScalar (or "") runs the
-	// per-phone goroutine engine, EngineBatch the lockstep batched one.
-	Engine string
 
 	BulkSec   float64 // duration of one throughput test (§5: 30-35 s)
 	RTTSec    float64 // duration of one ping test (§5: 20 s)
@@ -139,24 +120,6 @@ type Campaign struct {
 
 	// lanes runs the phones' tests for the duration of RunTo.
 	lanes *lanes
-
-	// Batched-engine state, lazily built on the first batched cycle: the
-	// lockstep lane group and the trace cursor backing its Where lookups.
-	batchG   *batch.Group
-	batchCur geo.TraceCursor
-}
-
-// engineBatch reports whether the batched engine is selected, rejecting
-// unknown engine names loudly rather than silently running scalar.
-func (cfg Config) engineBatch() bool {
-	switch cfg.Engine {
-	case EngineBatch:
-		return true
-	case "", EngineScalar:
-		return false
-	default:
-		panic("campaign: unknown engine " + cfg.Engine)
-	}
 }
 
 // traceTrailSec is how much trace time a KmLimit-bounded campaign keeps
@@ -360,9 +323,6 @@ func (c *Campaign) RunTo(sink dataset.Sink) {
 // runCycle queues one round-robin battery starting at t and returns the
 // time at which the next cycle may begin.
 func (c *Campaign) runCycle(t float64) float64 {
-	if c.Cfg.engineBatch() {
-		return c.runCycleBatch(t)
-	}
 	cfg := c.Cfg
 	j := c.lanes.next()
 	j.add(phaseBulkDL, t, false)

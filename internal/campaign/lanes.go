@@ -176,8 +176,8 @@ func (l *lanes) finish() {
 	l.n--
 }
 
-// drain replays every in-flight job. The batched engine drains before its
-// lockstep phases, which step the same phones from the campaign goroutine.
+// drain replays every in-flight job. RunTo drains once the schedule is
+// exhausted, before it stops the lanes.
 func (l *lanes) drain() {
 	for l.n > 0 {
 		l.finish()

@@ -10,19 +10,17 @@ import (
 
 // TestLanesDeterministicAndLeakFree runs a short campaign with every
 // battery on — static city tests, passive loggers, speed tests and the app
-// runs — at one and at four Ps, on both engines. The phone lanes run free
-// of each other, so the schedulers' interleavings differ between the runs;
-// the digests must not. Every lane goroutine must also have exited once
+// runs — at one, two and four Ps. The phone lanes run free of each other,
+// so the schedulers' interleavings differ between the runs; the digests
+// must not. Every lane goroutine must also have exited once
 // RunTo returns. The test runs under -short, so the race job checks the
 // lanes and the ordered replay too.
 func TestLanesDeterministicAndLeakFree(t *testing.T) {
 	cfg := DefaultConfig(23)
 	cfg.KmLimit = 25
 
-	run := func(engine string, procs int) string {
+	run := func(procs int) string {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		cfg := cfg
-		cfg.Engine = engine
 		c := New(cfg)
 		base := runtime.NumGoroutine()
 		h := dataset.NewHashSink()
@@ -33,18 +31,15 @@ func TestLanesDeterministicAndLeakFree(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		if n := runtime.NumGoroutine(); n > base {
-			t.Errorf("%s engine, GOMAXPROCS(%d): %d goroutines after RunTo, %d before", engine, procs, n, base)
+			t.Errorf("GOMAXPROCS(%d): %d goroutines after RunTo, %d before", procs, n, base)
 		}
 		return h.Sum()
 	}
 
-	want := run(EngineScalar, 1)
-	for _, tc := range []struct {
-		engine string
-		procs  int
-	}{{EngineScalar, 4}, {EngineBatch, 1}, {EngineBatch, 4}} {
-		if got := run(tc.engine, tc.procs); got != want {
-			t.Errorf("%s engine, GOMAXPROCS(%d): digest %s, want %s (scalar, GOMAXPROCS(1))", tc.engine, tc.procs, got, want)
+	want := run(1)
+	for _, procs := range []int{2, 4} {
+		if got := run(procs); got != want {
+			t.Errorf("GOMAXPROCS(%d): digest %s, want %s (GOMAXPROCS(1))", procs, got, want)
 		}
 	}
 

@@ -27,7 +27,7 @@ func secs(s float64) time.Duration { return time.Duration(s * float64(time.Secon
 func utc(t float64) time.Time { return sim.TripStart.UTC().Add(secs(t)) }
 
 // bulkProfile maps a transfer direction to its traffic profile and test
-// kind, shared by both engines.
+// kind.
 func bulkProfile(dir radio.Direction) (ran.Traffic, dataset.TestKind) {
 	if dir == radio.Uplink {
 		return ran.BacklogUL, dataset.TestBulkUL
@@ -35,8 +35,7 @@ func bulkProfile(dir radio.Direction) (ran.Traffic, dataset.TestKind) {
 	return ran.BacklogDL, dataset.TestBulkDL
 }
 
-// runBulk runs one nuttcp-style bulk transfer on the scalar engine and
-// records its samples, KPI-joined rows, handovers, and the per-test
+// runBulk runs one nuttcp-style bulk transfer and records its samples, KPI-joined rows, handovers, and the per-test
 // summary. A non-nil st makes it a static test.
 func (c *Campaign) runBulk(sink dataset.Sink, id int, ph *phone, t float64, dir radio.Direction, st *staticState) {
 	profile, _ := bulkProfile(dir)
@@ -46,13 +45,11 @@ func (c *Campaign) runBulk(sink dataset.Sink, id int, ph *phone, t float64, dir 
 	a.release()
 }
 
-// emitBulk streams a finished bulk transfer's records — the emit half
-// shared by both engines, so the batched engine cannot drift from the
-// scalar one in what it writes. The per-table emission order (throughput
-// rows, handovers, summary) matches the order the pre-streaming merge
-// appended them. Rows stage into the lane's bank and reach the sink as one
-// batch per table, which every sink consumes in the same per-table order as
-// the former per-record calls.
+// emitBulk streams a finished bulk transfer's records. The per-table
+// emission order (throughput rows, handovers, summary) matches the order
+// the pre-streaming merge appended them. Rows stage into the lane's bank
+// and reach the sink as one batch per table, which every sink consumes in
+// the same per-table order as the former per-record calls.
 func (c *Campaign) emitBulk(sink dataset.Sink, ln *batch.Lane, t float64, dir radio.Direction, static bool, res transport.BulkResult) {
 	_, kind := bulkProfile(dir)
 	n := len(res.SamplesBps)
@@ -103,10 +100,10 @@ func (c *Campaign) emitBulk(sink dataset.Sink, ln *batch.Lane, t float64, dir ra
 }
 
 // rttIntervalSec is the ping cadence of the RTT test (one echo per 200 ms,
-// §5). Both engines tick RTT phases at this interval.
+// §5). RTT phases tick at this interval.
 const rttIntervalSec = 0.2
 
-// runRTT runs one ping test on the scalar engine and records each sample.
+// runRTT runs one ping test and records each sample.
 // A non-nil st makes it a static test.
 func (c *Campaign) runRTT(sink dataset.Sink, id int, ph *phone, t float64, st *staticState) {
 	a := c.newAdapter(id, ph, t, ran.RTTProbe, radio.Downlink, st)
@@ -128,10 +125,9 @@ func (c *Campaign) runRTT(sink dataset.Sink, id int, ph *phone, t float64, st *s
 	a.release()
 }
 
-// emitRTT streams a finished ping test's records — the emit half shared by
-// both engines. Ping rows land in the rtt table in probe order, exactly as
-// the scalar engine's former inline emission did, staged through the lane's
-// bank like emitBulk's throughput rows.
+// emitRTT streams a finished ping test's records. Ping rows land in the rtt
+// table in probe order, staged through the lane's bank like emitBulk's
+// throughput rows.
 func (c *Campaign) emitRTT(sink dataset.Sink, ln *batch.Lane, t float64, static bool) {
 	rtt := ln.Bank.RTT[:0]
 	for _, p := range ln.Pings {

@@ -1,20 +1,11 @@
 package dataset
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"hash"
 	"io"
-	"runtime/pprof"
 )
-
-// ProfilePhases enables the "hash" runtime/pprof phase label around
-// HashSink's digest folds, complementing the control/kernel/emit labels the
-// campaign engine attaches when its own flag is set. Off by default so the
-// fleet's hot loop pays nothing when no profile is being taken; cmd/fleet
-// and cmd/drivesim set it alongside -cpuprofile.
-var ProfilePhases bool
 
 // Sink consumes campaign records one at a time, in production order. It is
 // the streaming counterpart of Dataset: the campaign engine emits every
@@ -365,18 +356,10 @@ func (s *HashSink) Reset() {
 	}
 }
 
-// fold feeds one chunk of encoded rows into the table's hash, under the
-// "hash" pprof phase label when ProfilePhases is set. hash.Hash writes never
-// fail. Folds happen once per hashChunkBytes of rows, so the label region
-// overhead is amortized over ~64 KiB of hashing.
+// fold feeds one chunk of encoded rows into the table's hash. hash.Hash
+// writes never fail.
 func (s *HashSink) fold(tab int, b []byte) {
-	if !ProfilePhases {
-		s.h[tab].Write(b)
-		return
-	}
-	pprof.Do(context.Background(), pprof.Labels("phase", "hash"), func(context.Context) {
-		s.h[tab].Write(b)
-	})
+	s.h[tab].Write(b)
 }
 
 // sink folds the table's buffer into its hash once enough rows accumulated.

@@ -46,44 +46,6 @@ func BenchmarkFleet(b *testing.B) {
 	b.ReportMetric(float64(growth)/seeds/1e6, "live-MB/seed")
 }
 
-// BenchmarkFleetBatch is BenchmarkFleet on the batched struct-of-arrays
-// tick engine — identical workload, identical output bytes (the
-// differential harness in internal/campaign proves it), different hot
-// path. CI gates its seeds/hour against the committed scalar
-// BenchmarkFleet baseline and pins its live-MB/seed like the other fleet
-// benches: the kernel banks reuse flat rows across ticks, so the batched
-// path must hold no more live heap per seed than the scalar one.
-func BenchmarkFleetBatch(b *testing.B) {
-	base := campaign.QuickConfig(0, 40)
-	base.Engine = campaign.EngineBatch
-	cfg := Config{
-		Base:      base,
-		StartSeed: 23,
-		Seeds:     3,
-		Workers:   2,
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	seeds := float64(cfg.Seeds * b.N)
-	b.ReportMetric(seeds/b.Elapsed().Hours(), "seeds/hour")
-	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if growth < 0 {
-		growth = 0
-	}
-	b.ReportMetric(float64(growth)/seeds/1e6, "live-MB/seed")
-}
-
 // BenchmarkSweep runs a two-policy grid (default + a sticky variant) over
 // a reduced seed range per iteration and reports configs/hour: completed
 // (scenario, policy) cells per hour, the capacity number cmd/sweep grid

@@ -34,8 +34,7 @@ type Link struct {
 
 	// The correlated processes live by value inside the Link (not behind
 	// pointers), so one link's whole mutable channel state sits in a single
-	// contiguous block — the batch engine steps an array of Links without
-	// chasing per-process heap cells.
+	// contiguous block and a step chases no per-process heap cells.
 	shadow  sim.GaussMarkov // log-normal shadowing, dB
 	interf  sim.GaussMarkov // interference-over-noise excursions, dB
 	load    sim.GaussMarkov // fraction of cell resources available to us
@@ -301,8 +300,7 @@ func (l *Link) StepInto(st *LinkState, dt, distKm, mph float64, road geo.RoadCla
 
 // stepShare folds the cell-load draw and the congestion chain into the UE's
 // share of the cell for this tick. loadVal must be the value just produced
-// by l.load.Step(dt) (with Mean already set for this environment) — the
-// bank fills all lanes' load draws subsystem-major before calling this.
+// by l.load.Step(dt) (with Mean already set for this environment).
 func (l *Link) stepShare(dt, mph, loadVal float64) {
 	l.share = loadVal
 	if congested := l.congest.Step(dt) == 1; congested {
@@ -334,9 +332,7 @@ func (l *Link) stepShare(dt, mph, loadVal float64) {
 
 // carriersWithJit picks the number of aggregated component carriers from
 // link quality: secondary carriers drop off first as the UE approaches the
-// edge. The caller supplies the availability-jitter draw (caJit.Step) so
-// the bank can issue all lanes' draws in one subsystem-major fill before
-// the carrier arithmetic runs.
+// edge. The caller supplies the availability-jitter draw (caJit.Step).
 func (l *Link) carriersWithJit(rsrp, jit float64) (down, up int) {
 	q := (rsrp + 118) / 45 // 0 at deep edge, 1 near the cell
 	if l.Tech == NRmmW {

@@ -251,15 +251,10 @@ func (u *UE) Step(t, dt, km, mph float64, road geo.RoadClass, zone geo.Timezone,
 }
 
 // StepInto is Step writing the snapshot into caller-owned memory, so the
-// per-tick loops (the batch lanes in particular) land the radio state
-// directly in its long-lived slot instead of copying a Snapshot up the
-// call chain.
+// per-tick loop of a test lane lands the radio state directly in its
+// long-lived slot instead of copying a Snapshot up the call chain.
 //
-// StepInto is exactly StepControl + Link.StepInto + StepFinish. The batch
-// engine calls the three halves itself, stepping the gathered links of all
-// lanes through radio.LinkBank between the control and finish passes; both
-// engines therefore execute the same operations on the same state in the
-// same per-stream order, which is what keeps their output byte-identical.
+// StepInto is exactly StepControl + Link.StepInto + StepFinish.
 func (u *UE) StepInto(snap *Snapshot, t, dt, km, mph float64, road geo.RoadClass, zone geo.Timezone, tr Traffic) {
 	link, servDist, ok := u.StepControl(snap, t, km, tr, zone)
 	if !ok {
@@ -276,8 +271,7 @@ func (u *UE) StepInto(snap *Snapshot, t, dt, km, mph float64, road geo.RoadClass
 // means a dead zone: the outage snapshot is complete and no link steps this
 // tick. Control consumes only the UE's own "ue" stream (plus the target
 // link's reset draws on handover), never the serving link's per-subsystem
-// streams, so the batch engine may run all lanes' control passes before any
-// lane's link step without moving a draw within any stream.
+// streams.
 func (u *UE) StepControl(snap *Snapshot, t, km float64, tr Traffic, zone geo.Timezone) (link *radio.Link, servDist float64, ok bool) {
 	avail := u.Dep.AvailMask(km)
 	if avail == 0 {

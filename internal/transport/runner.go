@@ -16,7 +16,7 @@ type Path interface {
 	Step(dt float64) PathState
 }
 
-// TickSec is the transport simulation tick (exported for the batch engine, whose lockstep loops must tick at exactly this cadence). It is not exactly representable
+// TickSec is the transport simulation tick. It is not exactly representable
 // in binary floating point, so the runner loops drive time from an integer
 // tick index (t = i*TickSec, one correctly-rounded multiply) instead of
 // accumulating t += TickSec, whose rounding error compounds with every tick
@@ -61,12 +61,10 @@ func (r BulkResult) StdFrac() float64 {
 	return math.Sqrt(ss/float64(len(r.SamplesBps))) / mean
 }
 
-// BulkRunner is the step-wise form of RunBulk: one nuttcp-style bulk
-// transfer whose tick loop is driven by the caller. The batch engine holds
-// one BulkRunner per lane and feeds all lanes from a single lockstep loop;
-// RunBulk drives the same state machine from its own loop, so the two
-// engines share every arithmetic step of the transfer, tick for tick.
-// The zero BulkRunner is ready after Reset.
+// BulkRunner is the state of one nuttcp-style bulk transfer, advanced one
+// tick at a time by RunBulkWith. The campaign keeps one inside each pooled
+// test lane so its samples buffer is reused across tests. The zero
+// BulkRunner is ready after Reset.
 type BulkRunner struct {
 	Flow CubicFlow // by value: the flow state lives inside the runner
 
