@@ -131,8 +131,8 @@ func (ln *Lane) Recycle() Lane {
 
 // Advance moves the lane forward dt seconds with the vehicle at sample s
 // (which must be the trace position for time ln.T+dt) and returns the
-// current path condition in both directions. The radio snapshot lands directly in
-// ln.Last — no per-tick state is copied up the call chain.
+// current path condition in both directions. The radio snapshot lands
+// directly in ln.Last — no per-tick state is copied up the call chain.
 func (ln *Lane) Advance(dt float64, s *geo.Sample) (capDL, capUL, rttMs float64, outage bool) {
 	ln.T += dt
 	ln.UE.StepInto(&ln.Last, ln.T, dt, s.Km, s.MPH, s.Road, s.Zone, ln.Profile)

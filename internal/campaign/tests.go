@@ -35,8 +35,9 @@ func bulkProfile(dir radio.Direction) (ran.Traffic, dataset.TestKind) {
 	return ran.BacklogDL, dataset.TestBulkDL
 }
 
-// runBulk runs one nuttcp-style bulk transfer and records its samples, KPI-joined rows, handovers, and the per-test
-// summary. A non-nil st makes it a static test.
+// runBulk runs one nuttcp-style bulk transfer and records its samples,
+// KPI-joined rows, handovers, and the per-test summary. A non-nil st makes
+// it a static test.
 func (c *Campaign) runBulk(sink dataset.Sink, id int, ph *phone, t float64, dir radio.Direction, st *staticState) {
 	profile, _ := bulkProfile(dir)
 	a := c.newAdapter(id, ph, t, profile, dir, st)
