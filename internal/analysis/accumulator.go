@@ -174,43 +174,6 @@ func (a *Accumulator) EmitApp(r dataset.AppRun) {
 
 func (a *Accumulator) EmitPassive(dataset.PassiveSample) { a.n.Passive++ }
 
-// Batch emits reduce each record through the scalar methods: the
-// accumulator's state transitions are strictly per-record, so the loop is
-// equivalent by construction. Implementing dataset.BatchSink still pays off
-// because each batch costs the Tee one dispatch here instead of one per
-// record, and the loop body devirtualizes.
-func (a *Accumulator) EmitThrAll(recs []dataset.ThroughputSample) {
-	for i := range recs {
-		a.EmitThr(recs[i])
-	}
-}
-
-func (a *Accumulator) EmitRTTAll(recs []dataset.RTTSample) {
-	for i := range recs {
-		a.EmitRTT(recs[i])
-	}
-}
-
-func (a *Accumulator) EmitHandoverAll(recs []dataset.HandoverRecord) {
-	for i := range recs {
-		a.EmitHandover(recs[i])
-	}
-}
-
-func (a *Accumulator) EmitTestAll(recs []dataset.TestSummary) {
-	for i := range recs {
-		a.EmitTest(recs[i])
-	}
-}
-
-func (a *Accumulator) EmitAppAll(recs []dataset.AppRun) {
-	for i := range recs {
-		a.EmitApp(recs[i])
-	}
-}
-
-func (a *Accumulator) EmitPassiveAll(recs []dataset.PassiveSample) { a.n.Passive += len(recs) }
-
 func (a *Accumulator) Flush() error { return nil }
 
 // Fig2a returns the mile-weighted technology shares, identical to

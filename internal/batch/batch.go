@@ -3,9 +3,7 @@
 // bindings, the 500 ms KPI accumulators, and the buffered outputs (KPI
 // rows, handover records, RTT pings) — and Lane.Advance steps it one tick
 // along the drive. The campaign's test adapter embeds a Lane, so every
-// driving and static test of every phone runs through this code. The
-// lane's EmitBank stages a finished phase's records for batched sink
-// dispatch.
+// driving and static test of every phone runs through this code.
 //
 // Each phone draws only from its own label-derived RNG streams, which is
 // what lets the phones run their tests on goroutines of their own without
@@ -76,10 +74,6 @@ type Lane struct {
 	HORecs []dataset.HandoverRecord
 	Pings  []Ping
 	Bulk   transport.BulkRunner
-
-	// Bank stages the phase's dataset records for batched sink dispatch.
-	// It rides on the lane so every pooled adapter gets its own scratch.
-	Bank EmitBank
 
 	// 500 ms KPI accumulation window.
 	accDur  float64

@@ -153,9 +153,9 @@ func (tb *Testbed) RunShardedTo(cfg Config, shards, workers int, sink dataset.Si
 			parts[i] <- newShardWorker(cfg, sh, i, startKm, stopKm).Run()
 		}(i)
 	}
-	// Consume in shard order: route order for the output stream, and the
-	// same renumbering MergeRenumbered applies, so a Collector sink here
-	// reproduces RunSharded's dataset byte-for-byte.
+	// Consume in shard order: route order for the output stream, with each
+	// shard's test ids shifted past the earlier shards' by a Renumber, so
+	// ids are campaign-unique and increase along the route.
 	renum := dataset.NewRenumber(sink)
 	for i := range parts {
 		p := <-parts[i]

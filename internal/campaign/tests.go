@@ -48,9 +48,7 @@ func (c *Campaign) runBulk(sink dataset.Sink, id int, ph *phone, t float64, dir 
 
 // emitBulk streams a finished bulk transfer's records. The per-table
 // emission order (throughput rows, handovers, summary) matches the order
-// the pre-streaming merge appended them. Rows stage into the lane's bank
-// and reach the sink as one batch per table, which every sink consumes in
-// the same per-table order as the former per-record calls.
+// the pre-streaming merge appended them.
 func (c *Campaign) emitBulk(sink dataset.Sink, ln *batch.Lane, t float64, dir radio.Direction, static bool, res transport.BulkResult) {
 	_, kind := bulkProfile(dir)
 	n := len(res.SamplesBps)
@@ -59,22 +57,19 @@ func (c *Campaign) emitBulk(sink dataset.Sink, ln *batch.Lane, t float64, dir ra
 	}
 	// Rows are km-ordered, so one route cursor serves the whole KPI join.
 	cur := c.Route.Cursor()
-	thr := ln.Bank.Thr[:0]
 	for i := 0; i < n; i++ {
 		r := ln.Rows[i]
 		cc := r.CCDL
 		if dir == radio.Uplink {
 			cc = r.CCUL
 		}
-		thr = append(thr, dataset.ThroughputSample{
+		sink.EmitThr(dataset.ThroughputSample{
 			TestID: ln.TestID, Op: ln.Op, Dir: dir, TimeUTC: utc(r.T), Bps: res.SamplesBps[i],
 			Tech: r.Tech, RSRPdBm: r.RSRP, SINRdB: r.SINR, MCS: r.MCS, BLER: r.BLER, CC: cc,
 			MPH: r.MPH, Km: r.Km, Zone: cur.TimezoneAt(r.Km), Road: cur.RoadClassAt(r.Km),
 			Server: ln.Server.Kind, Static: static, HOs: r.HOs,
 		})
 	}
-	ln.Bank.Thr = thr
-	dataset.EmitThrAll(sink, thr)
 	dataset.EmitHandoverAll(sink, ln.HORecs)
 
 	if c.Cfg.RawLogDir != "" {
@@ -127,19 +122,15 @@ func (c *Campaign) runRTT(sink dataset.Sink, id int, ph *phone, t float64, st *s
 }
 
 // emitRTT streams a finished ping test's records. Ping rows land in the rtt
-// table in probe order, staged through the lane's bank like emitBulk's
-// throughput rows.
+// table in probe order.
 func (c *Campaign) emitRTT(sink dataset.Sink, ln *batch.Lane, t float64, static bool) {
-	rtt := ln.Bank.RTT[:0]
 	for _, p := range ln.Pings {
-		rtt = append(rtt, dataset.RTTSample{
+		sink.EmitRTT(dataset.RTTSample{
 			TestID: ln.TestID, Op: ln.Op, TimeUTC: utc(p.T), Ms: p.Ms, Tech: p.Tech,
 			MPH: p.MPH, Km: p.Km, Zone: p.Zone, Server: ln.Server.Kind,
 			Static: static,
 		})
 	}
-	ln.Bank.RTT = rtt
-	dataset.EmitRTTAll(sink, rtt)
 	dataset.EmitHandoverAll(sink, ln.HORecs)
 
 	mean, stdFrac := meanStdFracPings(ln.Pings)

@@ -246,29 +246,50 @@ func writeCSV(dir, name string, header []string, n int, row func(i int) []string
 	return f.Close()
 }
 
-func readCSV(dir, name string, wantCols int, row func(line int, rec []string) error) error {
-	f, err := os.Open(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := csv.NewReader(f)
-	r.FieldsPerRecord = wantCols
-	if _, err := r.Read(); err != nil { // header
+// readCSV parses one table from r, checking every record's column count;
+// name labels its errors.
+func readCSV(r io.Reader, name string, wantCols int, row func(rec []string) error) error {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = wantCols
+	if _, err := cr.Read(); err != nil { // header
 		return rowErr{name, 1, err}
 	}
 	for line := 2; ; line++ {
-		rec, err := r.Read()
+		rec, err := cr.Read()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return rowErr{name, line, err}
 		}
-		if err := row(line, rec); err != nil {
+		if err := row(rec); err != nil {
 			return rowErr{name, line, err}
 		}
 	}
+}
+
+// readTable opens one table file under dir — <name>.gz through a
+// gzip.Reader when gz is set — and parses it with readCSV. A truncated or
+// corrupt stream surfaces as a read error naming the file.
+func readTable(dir, name string, gz bool, wantCols int, row func(rec []string) error) error {
+	if gz {
+		name += ".gz"
+	}
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var r io.Reader = f
+	if gz {
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			return fmt.Errorf("dataset: %s: %w", name, err)
+		}
+		defer zr.Close()
+		r = zr
+	}
+	return readCSV(r, name, wantCols, row)
 }
 
 // Save writes the dataset as CSV files under dir, creating it if needed.
@@ -301,9 +322,16 @@ func (d *Dataset) Save(dir string) error {
 }
 
 // Load reads a dataset previously written with Save.
-func Load(dir string) (*Dataset, error) {
+func Load(dir string) (*Dataset, error) { return load(dir, false) }
+
+// LoadCompressed reads a dataset previously written with SaveCompressed (or
+// streamed by CSVWriter or ParallelCSVWriter), decompressing each table as
+// it parses.
+func LoadCompressed(dir string) (*Dataset, error) { return load(dir, true) }
+
+func load(dir string, gz bool) (*Dataset, error) {
 	d := &Dataset{}
-	err := readCSV(dir, fileThr, 18, func(_ int, r []string) error {
+	err := readTable(dir, fileThr, gz, 18, func(r []string) error {
 		var p parser
 		s := ThroughputSample{
 			TestID: p.i(r[0]), Op: p.op(r[1]), Dir: p.dir(r[2]), TimeUTC: p.t(r[3]), Bps: p.f(r[4]),
@@ -317,7 +345,7 @@ func Load(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = readCSV(dir, fileRTT, 10, func(_ int, r []string) error {
+	err = readTable(dir, fileRTT, gz, 10, func(r []string) error {
 		var p parser
 		s := RTTSample{
 			TestID: p.i(r[0]), Op: p.op(r[1]), TimeUTC: p.t(r[2]), Ms: p.f(r[3]), Tech: p.tech(r[4]),
@@ -329,7 +357,7 @@ func Load(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = readCSV(dir, fileHO, 9, func(_ int, r []string) error {
+	err = readTable(dir, fileHO, gz, 9, func(r []string) error {
 		var p parser
 		h := HandoverRecord{
 			TestID: p.i(r[0]), Op: p.op(r[1]), TimeUTC: p.t(r[2]), DurSec: p.f(r[3]),
@@ -341,7 +369,7 @@ func Load(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = readCSV(dir, fileTests, 18, func(_ int, r []string) error {
+	err = readTable(dir, fileTests, gz, 18, func(r []string) error {
 		var p parser
 		t := TestSummary{
 			ID: p.i(r[0]), Op: p.op(r[1]), Kind: TestKind(p.s(r[2])), Dir: p.dir(r[3]), StartUTC: p.t(r[4]),
@@ -356,7 +384,7 @@ func Load(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = readCSV(dir, fileApps, 19, func(_ int, r []string) error {
+	err = readTable(dir, fileApps, gz, 19, func(r []string) error {
 		var p parser
 		a := AppRun{
 			ID: p.i(r[0]), Op: p.op(r[1]), App: TestKind(p.s(r[2])), StartUTC: p.t(r[3]), DurSec: p.f(r[4]),
@@ -371,7 +399,7 @@ func Load(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = readCSV(dir, filePassive, 7, func(_ int, r []string) error {
+	err = readTable(dir, filePassive, gz, 7, func(r []string) error {
 		var p parser
 		s := PassiveSample{
 			Op: p.op(r[0]), TimeUTC: p.t(r[1]), Km: p.f(r[2]), Tech: p.tech(r[3]), Cell: p.s(r[4]),
@@ -387,84 +415,14 @@ func Load(dir string) (*Dataset, error) {
 }
 
 // SaveCompressed writes the dataset CSVs gzip-compressed (one .csv.gz per
-// table) — the full-campaign dataset is ~80 MB as plain CSV.
+// table) — the full-campaign dataset is ~80 MB as plain CSV. It streams the
+// records through a CSVWriter, so the files are exactly what a campaign
+// streamed into one would have written.
 func (d *Dataset) SaveCompressed(dir string) error {
-	tmp, err := os.MkdirTemp(dir, ".staging-*")
+	w, err := NewCSVWriter(dir)
 	if err != nil {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		tmp, err = os.MkdirTemp(dir, ".staging-*")
-		if err != nil {
-			return err
-		}
-	}
-	defer os.RemoveAll(tmp)
-	if err := d.Save(tmp); err != nil {
 		return err
 	}
-	for _, name := range []string{fileThr, fileRTT, fileHO, fileTests, fileApps, filePassive} {
-		in, err := os.Open(filepath.Join(tmp, name))
-		if err != nil {
-			return err
-		}
-		out, err := os.Create(filepath.Join(dir, name+".gz"))
-		if err != nil {
-			in.Close()
-			return err
-		}
-		zw := gzip.NewWriter(out)
-		if _, err := io.Copy(zw, in); err != nil {
-			in.Close()
-			out.Close()
-			return err
-		}
-		in.Close()
-		if err := zw.Close(); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadCompressed reads a dataset previously written with SaveCompressed.
-func LoadCompressed(dir string) (*Dataset, error) {
-	tmp, err := os.MkdirTemp("", "wheels-dataset-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
-	for _, name := range []string{fileThr, fileRTT, fileHO, fileTests, fileApps, filePassive} {
-		in, err := os.Open(filepath.Join(dir, name+".gz"))
-		if err != nil {
-			return nil, err
-		}
-		zr, err := gzip.NewReader(in)
-		if err != nil {
-			in.Close()
-			return nil, fmt.Errorf("dataset: %s: %v", name, err)
-		}
-		out, err := os.Create(filepath.Join(tmp, name))
-		if err != nil {
-			zr.Close()
-			in.Close()
-			return nil, err
-		}
-		if _, err := io.Copy(out, zr); err != nil {
-			zr.Close()
-			in.Close()
-			out.Close()
-			return nil, fmt.Errorf("dataset: %s: %v", name, err)
-		}
-		zr.Close()
-		in.Close()
-		if err := out.Close(); err != nil {
-			return nil, err
-		}
-	}
-	return Load(tmp)
+	d.EmitTo(w)
+	return w.Flush()
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,7 +163,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 	if err := d.SaveCompressed(dir); err != nil {
 		t.Fatalf("SaveCompressed: %v", err)
 	}
-	// Only .gz files should be visible (staging cleaned up).
+	// Only the .gz tables should be written.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -181,5 +182,56 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadCompressed(t.TempDir()); err == nil {
 		t.Error("LoadCompressed of an empty dir succeeded")
+	}
+}
+
+// TestLoadCompressedCorruptTable: a truncated .gz and a file that is not
+// gzip at all each fail LoadCompressed with an error naming the table, and
+// the streaming read leaves nothing behind in $TMPDIR.
+func TestLoadCompressedCorruptTable(t *testing.T) {
+	mangles := []struct {
+		name string
+		fn   func([]byte) []byte
+	}{
+		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"not gzip", func([]byte) []byte { return []byte("test_id,op\n1,Verizon\n") }},
+	}
+	type tc struct{ dir, table, mangle string }
+	var cases []tc
+	for _, m := range mangles {
+		for _, table := range csvFiles {
+			dir := t.TempDir()
+			if err := fuzzSeedDataset().SaveCompressed(dir); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, table+".gz")
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, m.fn(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, tc{dir, table, m.name})
+		}
+	}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for _, c := range cases {
+		_, err := LoadCompressed(c.dir)
+		if err == nil {
+			t.Errorf("%s %s: LoadCompressed succeeded", c.mangle, c.table)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.table+".gz") {
+			t.Errorf("%s %s: error %q does not name the table file", c.mangle, c.table, err)
+		}
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("LoadCompressed left %d entries in $TMPDIR", len(left))
 	}
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -19,70 +20,73 @@ func shardPart(seed int64, n int) *Dataset {
 		d.Tests = append(d.Tests, TestSummary{ID: id, Op: radio.Verizon, Kind: TestBulkDL, StartUTC: at})
 		d.Apps = append(d.Apps, AppRun{ID: id, Op: radio.Verizon, App: TestAR, StartUTC: at})
 	}
-	d.Passive = append(d.Passive, PassiveSample{Op: radio.Verizon, TimeUTC: at, Tech: radio.LTE})
+	d.Passive = append(d.Passive, PassiveSample{Op: radio.Verizon, TimeUTC: at, Tech: radio.LTE, Km: float64(n)})
 	return d
 }
 
-func TestMergeRenumbered(t *testing.T) {
-	merged := MergeRenumbered(shardPart(23, 3), nil, shardPart(23, 2), shardPart(23, 1))
-	if merged.Seed != 23 {
-		t.Errorf("merged seed = %d, want 23", merged.Seed)
+// renumberParts merges the parts the way RunShardedTo does: each part
+// replays through one Renumber in route order, sealed with Advance.
+func renumberParts(parts ...*Dataset) *Dataset {
+	col := NewCollector(23)
+	r := NewRenumber(col)
+	for _, p := range parts {
+		p.EmitTo(r)
+		r.Advance()
 	}
-	// Ids must be campaign-unique and increase in shard order: 1..3, 4..5, 6.
+	return col.Dataset()
+}
+
+func testIDs(d *Dataset) []int {
 	var ids []int
-	for _, ts := range merged.Tests {
+	for _, ts := range d.Tests {
 		ids = append(ids, ts.ID)
 	}
-	want := []int{1, 2, 3, 4, 5, 6}
-	if len(ids) != len(want) {
-		t.Fatalf("merged %d test summaries, want %d", len(ids), len(want))
-	}
-	for i, id := range ids {
-		if id != want[i] {
-			t.Fatalf("test ids = %v, want %v", ids, want)
-		}
+	return ids
+}
+
+// TestRenumberShardsInRouteOrder: each part's ids shift past the running
+// maximum of the parts before it, consistently in every id-carrying table,
+// while passive samples pass through unshifted.
+func TestRenumberShardsInRouteOrder(t *testing.T) {
+	parts := []*Dataset{shardPart(23, 3), {Seed: 23}, shardPart(23, 2), shardPart(23, 1)}
+	merged := renumberParts(parts...)
+	// Ids must be campaign-unique and increase in shard order: 1..3, 4..5, 6.
+	if got, want := testIDs(merged), []int{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("test ids = %v, want %v", got, want)
 	}
 	// Every table shifts consistently: the second shard's first record is 4.
 	if merged.Thr[3].TestID != 4 || merged.RTT[3].TestID != 4 ||
 		merged.Handovers[3].TestID != 4 || merged.Apps[3].ID != 4 {
 		t.Error("tables did not shift consistently across the merge")
 	}
-	if len(merged.Passive) != 3 {
-		t.Errorf("merged %d passive samples, want 3", len(merged.Passive))
+	var wantPassive []PassiveSample
+	for _, p := range parts {
+		wantPassive = append(wantPassive, p.Passive...)
+	}
+	if !reflect.DeepEqual(merged.Passive, wantPassive) {
+		t.Errorf("passive samples = %+v, want the parts' samples unchanged in order", merged.Passive)
 	}
 	if got := merged.MaxTestID(); got != 6 {
 		t.Errorf("MaxTestID = %d, want 6", got)
 	}
 }
 
-// TestMergeRenumberedEmptyParts is the fleet-reducer regression: a seed
-// (or shard) whose campaign yields zero tests of some kind produces an
-// empty-but-non-nil dataset, and the merge must absorb it without
-// panicking or breaking id contiguity — downstream percentile code then
-// sees empty tables, not nils.
-func TestMergeRenumberedEmptyParts(t *testing.T) {
-	empty := &Dataset{Seed: 23}
-	merged := MergeRenumbered(empty, shardPart(23, 2), &Dataset{Seed: 23}, shardPart(23, 1))
-	if merged.Seed != 23 {
-		t.Errorf("merged seed = %d, want 23 (an empty leading shard still carries the seed)", merged.Seed)
+// TestRenumberEmptyParts is the fleet-reducer regression: a seed (or shard)
+// whose campaign yields zero tests of some kind produces an empty part, and
+// the merge must absorb it without panicking or breaking id contiguity.
+func TestRenumberEmptyParts(t *testing.T) {
+	merged := renumberParts(&Dataset{}, shardPart(23, 2), &Dataset{}, shardPart(23, 1))
+	if got, want := testIDs(merged), []int{1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("test ids = %v, want %v", got, want)
 	}
-	want := []int{1, 2, 3}
-	if len(merged.Tests) != len(want) {
-		t.Fatalf("merged %d test summaries, want %d", len(merged.Tests), len(want))
-	}
-	for i, ts := range merged.Tests {
-		if ts.ID != want[i] {
-			t.Fatalf("test id %d = %d, want %d", i, ts.ID, want[i])
-		}
-	}
-	if got := MergeRenumbered(&Dataset{Seed: 7}, &Dataset{Seed: 7}); got.Seed != 7 || got.MaxTestID() != 0 {
-		t.Errorf("all-empty merge = seed %d, max id %d; want 7 and 0", got.Seed, got.MaxTestID())
+	empty := renumberParts(&Dataset{}, &Dataset{})
+	if got := empty.MaxTestID(); got != 0 || len(empty.Thr)+len(empty.Tests)+len(empty.Passive) != 0 {
+		t.Errorf("all-empty merge = max id %d with records %+v; want 0 and none", got, empty)
 	}
 }
 
-func TestShiftTestIDsAndMaxOnEmpty(t *testing.T) {
+func TestMaxTestIDOnEmpty(t *testing.T) {
 	d := &Dataset{}
-	d.ShiftTestIDs(10) // must not panic
 	if got := d.MaxTestID(); got != 0 {
 		t.Errorf("empty MaxTestID = %d, want 0", got)
 	}

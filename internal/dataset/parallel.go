@@ -219,47 +219,6 @@ func (w *ParallelCSVWriter) EmitPassive(p PassiveSample) {
 	w.write(tabPassive)
 }
 
-// Batch emits run the per-record encode+write loop without the interface
-// dispatch. Chunk row counting must stay per record — the chunk boundaries
-// define the gzip member bytes — so unlike CSVWriter there is no single
-// flat Write here.
-func (w *ParallelCSVWriter) EmitThrAll(recs []ThroughputSample) {
-	for i := range recs {
-		w.row = w.enc.csvAppendThr(w.row[:0], recs[i])
-		w.write(tabThr)
-	}
-}
-func (w *ParallelCSVWriter) EmitRTTAll(recs []RTTSample) {
-	for i := range recs {
-		w.row = w.enc.csvAppendRTT(w.row[:0], recs[i])
-		w.write(tabRTT)
-	}
-}
-func (w *ParallelCSVWriter) EmitHandoverAll(recs []HandoverRecord) {
-	for i := range recs {
-		w.row = w.enc.csvAppendHO(w.row[:0], recs[i])
-		w.write(tabHO)
-	}
-}
-func (w *ParallelCSVWriter) EmitTestAll(recs []TestSummary) {
-	for i := range recs {
-		w.row = w.enc.csvAppendTest(w.row[:0], recs[i])
-		w.write(tabTests)
-	}
-}
-func (w *ParallelCSVWriter) EmitAppAll(recs []AppRun) {
-	for i := range recs {
-		w.row = w.enc.csvAppendApp(w.row[:0], recs[i])
-		w.write(tabApps)
-	}
-}
-func (w *ParallelCSVWriter) EmitPassiveAll(recs []PassiveSample) {
-	for i := range recs {
-		w.row = w.enc.csvAppendPassive(w.row[:0], recs[i])
-		w.write(tabPassive)
-	}
-}
-
 // Flush submits every partial chunk (the header-only chunk of an empty
 // table included, so every file is a valid gzip stream), drains the pool,
 // closes the files, and returns the first error from anywhere in the

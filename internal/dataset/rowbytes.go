@@ -47,8 +47,7 @@ func quoteF(dst []byte, v float64) []byte {
 }
 
 // quoteHalf is quoteF's exact-half fast path; ok=false means the value does
-// not qualify and the caller must fall back to AppendFloat (or a bit-exact
-// memo of it — see rowEnc.quoteF).
+// not qualify and the caller must fall back to AppendFloat.
 func quoteHalf(dst []byte, v float64) ([]byte, bool) {
 	if h := v * 2; h == math.Trunc(h) && h != 0 {
 		neg := false
@@ -134,23 +133,23 @@ func (e *rowEnc) csvAppendThr(dst []byte, s ThroughputSample) []byte {
 	dst = append(dst, ',')
 	dst = e.quoteT(dst, s.TimeUTC)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, s.Bps)
+	dst = quoteF(dst, s.Bps)
 	dst = append(dst, ',')
 	dst = quoteS(dst, s.Tech.String())
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, s.RSRPdBm)
+	dst = quoteF(dst, s.RSRPdBm)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, s.SINRdB)
+	dst = quoteF(dst, s.SINRdB)
 	dst = append(dst, ',')
 	dst = quoteI(dst, s.MCS)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, s.BLER)
+	dst = quoteF(dst, s.BLER)
 	dst = append(dst, ',')
 	dst = quoteI(dst, s.CC)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, s.MPH)
+	dst = quoteF(dst, s.MPH)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, s.Km)
+	dst = quoteF(dst, s.Km)
 	dst = append(dst, ',')
 	dst = quoteS(dst, s.Zone.String())
 	dst = append(dst, ',')
@@ -171,13 +170,13 @@ func (e *rowEnc) csvAppendRTT(dst []byte, s RTTSample) []byte {
 	dst = append(dst, ',')
 	dst = e.quoteT(dst, s.TimeUTC)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, s.Ms)
+	dst = quoteF(dst, s.Ms)
 	dst = append(dst, ',')
 	dst = quoteS(dst, s.Tech.String())
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, s.MPH)
+	dst = quoteF(dst, s.MPH)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, s.Km)
+	dst = quoteF(dst, s.Km)
 	dst = append(dst, ',')
 	dst = quoteS(dst, s.Zone.String())
 	dst = append(dst, ',')
@@ -194,7 +193,7 @@ func (e *rowEnc) csvAppendHO(dst []byte, h HandoverRecord) []byte {
 	dst = append(dst, ',')
 	dst = e.quoteT(dst, h.TimeUTC)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, h.DurSec)
+	dst = quoteF(dst, h.DurSec)
 	dst = append(dst, ',')
 	dst = quoteS(dst, h.FromTech.String())
 	dst = append(dst, ',')
@@ -219,7 +218,7 @@ func (e *rowEnc) csvAppendTest(dst []byte, t TestSummary) []byte {
 	dst = append(dst, ',')
 	dst = e.quoteT(dst, t.StartUTC)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, t.DurSec)
+	dst = quoteF(dst, t.DurSec)
 	dst = append(dst, ',')
 	dst = quoteS(dst, t.Zone.String())
 	dst = append(dst, ',')
@@ -227,23 +226,23 @@ func (e *rowEnc) csvAppendTest(dst []byte, t TestSummary) []byte {
 	dst = append(dst, ',')
 	dst = quoteB(dst, t.Static)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, t.MeanBps)
+	dst = quoteF(dst, t.MeanBps)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, t.StdFracBps)
+	dst = quoteF(dst, t.StdFracBps)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, t.MeanRTTms)
+	dst = quoteF(dst, t.MeanRTTms)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, t.StdFracRTT)
+	dst = quoteF(dst, t.StdFracRTT)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, t.HighSpeedFrac)
+	dst = quoteF(dst, t.HighSpeedFrac)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, t.Miles)
+	dst = quoteF(dst, t.Miles)
 	dst = append(dst, ',')
 	dst = quoteI(dst, t.HOCount)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, t.RxBytes)
+	dst = quoteF(dst, t.RxBytes)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, t.TxBytes)
+	dst = quoteF(dst, t.TxBytes)
 	return append(dst, '\n')
 }
 
@@ -256,7 +255,7 @@ func (e *rowEnc) csvAppendApp(dst []byte, a AppRun) []byte {
 	dst = append(dst, ',')
 	dst = e.quoteT(dst, a.StartUTC)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.DurSec)
+	dst = quoteF(dst, a.DurSec)
 	dst = append(dst, ',')
 	dst = quoteS(dst, a.Server.String())
 	dst = append(dst, ',')
@@ -264,27 +263,27 @@ func (e *rowEnc) csvAppendApp(dst []byte, a AppRun) []byte {
 	dst = append(dst, ',')
 	dst = quoteB(dst, a.Compressed)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.HighSpeedFrac)
+	dst = quoteF(dst, a.HighSpeedFrac)
 	dst = append(dst, ',')
 	dst = quoteI(dst, a.HOCount)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.MedianE2EMs)
+	dst = quoteF(dst, a.MedianE2EMs)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.OffloadFPS)
+	dst = quoteF(dst, a.OffloadFPS)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.MAP)
+	dst = quoteF(dst, a.MAP)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.QoE)
+	dst = quoteF(dst, a.QoE)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.RebufFrac)
+	dst = quoteF(dst, a.RebufFrac)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.AvgBitrate)
+	dst = quoteF(dst, a.AvgBitrate)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.SendBitrate)
+	dst = quoteF(dst, a.SendBitrate)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.NetLatencyMs)
+	dst = quoteF(dst, a.NetLatencyMs)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, a.FrameDrop)
+	dst = quoteF(dst, a.FrameDrop)
 	return append(dst, '\n')
 }
 
@@ -293,7 +292,7 @@ func (e *rowEnc) csvAppendPassive(dst []byte, p PassiveSample) []byte {
 	dst = append(dst, ',')
 	dst = e.quoteT(dst, p.TimeUTC)
 	dst = append(dst, ',')
-	dst = e.quoteF(dst, p.Km)
+	dst = quoteF(dst, p.Km)
 	dst = append(dst, ',')
 	dst = quoteS(dst, p.Tech.String())
 	dst = append(dst, ',')

@@ -47,8 +47,8 @@ var trickyFloats = []float64{
 // byte (golden hashes included).
 func TestRowBytesMatchCSV(t *testing.T) {
 	rng := sim.NewRNG(7)
-	// One encoder across all rows, so the time cache and float memo carry
-	// state between rows exactly as a long-lived sink's encoder does.
+	// One encoder across all rows, so the time cache carries state between
+	// rows exactly as a long-lived sink's encoder does.
 	var enc rowEnc
 	times := []time.Time{
 		sim.TripStart.UTC(),

@@ -2,60 +2,17 @@ package dataset
 
 import (
 	"bytes"
-	"math"
-	"strconv"
 	"time"
 )
 
 // rowEnc is the per-sink encoder state behind the csvAppend* row codecs: an
-// incremental RFC3339Nano timestamp cache and a bit-pattern-keyed memo for
-// hot repeated floats. Both are bit-exact accelerations, not alternative
-// encodings — every byte they emit was produced by time.AppendFormat or
-// strconv.AppendFloat for the same value (the caches only replay verbatim
-// copies), so the golden dataset hashes cannot move. The zero value is ready
-// to use; like the sinks that own one, a rowEnc is single-goroutine.
+// incremental RFC3339Nano timestamp cache. It is a bit-exact acceleration,
+// not an alternative encoding — it replays verbatim pieces of
+// time.AppendFormat output around fixed-width seconds and fraction digits,
+// so the golden dataset hashes cannot move. The zero value is ready to use;
+// like the sinks that own one, a rowEnc is single-goroutine.
 type rowEnc struct {
 	tc timeCache
-	fm []floatMemoEntry // direct-mapped float memo, allocated on first miss
-}
-
-// floatMemoBits sizes the direct-mapped float memo: 1<<floatMemoBits slots
-// (~20 KiB). The hot repeats — rail SINR/MCS/BLER values, per-phase constant
-// durations — fit in far fewer; collisions just overwrite a slot.
-const floatMemoBits = 9
-
-// floatMemoEntry memoizes one float's AppendFloat('g', -1, 64) rendering.
-// The longest shortest-round-trip float64 is 24 bytes
-// ("-2.2250738585072014e-308"); n = 0 marks an empty slot (only +0.0 has
-// bit pattern 0, and its first rendering fills the slot like any other).
-type floatMemoEntry struct {
-	bits uint64
-	n    uint8
-	s    [24]byte
-}
-
-// quoteF is quoteF with the memo behind the exact-half fast path: values
-// that miss the half branch look up their bit pattern, and a hit replays
-// the bytes strconv.AppendFloat previously produced for that exact pattern.
-func (e *rowEnc) quoteF(dst []byte, v float64) []byte {
-	if out, ok := quoteHalf(dst, v); ok {
-		return out
-	}
-	if e.fm == nil {
-		e.fm = make([]floatMemoEntry, 1<<floatMemoBits)
-	}
-	bits := math.Float64bits(v)
-	slot := &e.fm[(bits*0x9E3779B97F4A7C15)>>(64-floatMemoBits)]
-	if slot.bits == bits && slot.n > 0 {
-		return append(dst, slot.s[:slot.n]...)
-	}
-	n := len(dst)
-	dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-	if out := dst[n:]; len(out) <= len(slot.s) {
-		slot.bits, slot.n = bits, uint8(len(out))
-		copy(slot.s[:], out)
-	}
-	return dst
 }
 
 // quoteT is quoteT through the incremental timestamp cache.

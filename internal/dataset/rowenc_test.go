@@ -2,21 +2,17 @@ package dataset
 
 import (
 	"bytes"
-	"math"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"wheels/internal/sim"
 )
 
-// rowEnc's caches are bit-exact replays of time.AppendFormat and
-// strconv.AppendFloat output. These tests pin that equivalence the same way
-// quotef_test.go pins the exact-half fast path: exhaustively over the
-// campaign's own timestamp cadence, and by fuzz over adversarial sequences
-// that thrash the caches (minute boundaries, zone flips, bit-pattern
-// collisions).
+// rowEnc's timestamp cache is a bit-exact replay of time.AppendFormat
+// output. These tests pin that equivalence the same way quotef_test.go pins
+// the exact-half fast path: exhaustively over the campaign's own timestamp
+// cadence, and by fuzz over adversarial sequences that thrash the cache
+// (minute boundaries, zone flips).
 
 // tickZones are the zone shapes campaign timestamps can carry plus
 // adversarial ones: UTC, fixed negative/positive offsets, and a sub-minute
@@ -113,190 +109,4 @@ func FuzzQuoteTIncremental(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestRowEncQuoteFMatchesAppendFloat(t *testing.T) {
-	var enc rowEnc
-	vals := append([]float64{}, trickyFloats...)
-	vals = append(vals, -187.25e-3, 22.75, 1.0/3.0, math.Pi, -math.Pi, 2e6, 1e6-0.5)
-	// Repeat the whole set many times: later iterations hit the memo, and
-	// every hit must replay the exact AppendFloat bytes.
-	for iter := 0; iter < 8; iter++ {
-		for _, v := range vals {
-			got := enc.quoteF(nil, v)
-			want := quoteF(nil, v)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("iter %d quoteF(%v): got %q want %q", iter, v, got, want)
-			}
-		}
-	}
-}
-
-// FuzzRowEncQuoteF feeds raw bit patterns (NaN payloads, denormals,
-// negative zero included) through the memoized encoder twice — miss then
-// hit — against the reference codec.
-func FuzzRowEncQuoteF(f *testing.F) {
-	f.Add(uint64(0), uint64(1))
-	f.Add(math.Float64bits(math.Pi), math.Float64bits(-math.Pi))
-	f.Add(uint64(0x7ff8000000000001), uint64(0x8000000000000000)) // NaN payload, -0
-	f.Add(math.Float64bits(22.5), math.Float64bits(1.0/3.0))
-	f.Fuzz(func(t *testing.T, b1, b2 uint64) {
-		var enc rowEnc
-		for i := 0; i < 2; i++ {
-			for _, v := range []float64{math.Float64frombits(b1), math.Float64frombits(b2)} {
-				got := enc.quoteF(nil, v)
-				want := quoteF(nil, v)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("pass %d quoteF(bits %x): got %q want %q", i, math.Float64bits(v), got, want)
-				}
-			}
-		}
-	})
-}
-
-// testBatchDataset builds a dataset whose records exercise quoting, the
-// float rails, repeated and advancing timestamps — enough rows that the
-// HashSink chunk fold triggers on the batch path.
-func testBatchDataset() *Dataset {
-	d := &Dataset{Seed: 99}
-	tm := sim.TripStart.UTC()
-	for i := 0; i < 5000; i++ {
-		f := trickyFloats[i%len(trickyFloats)]
-		s := trickyStrings[i%len(trickyStrings)]
-		d.Thr = append(d.Thr, ThroughputSample{
-			TestID: i, TimeUTC: tm, Bps: float64(i) * 1.75e6, RSRPdBm: -91.5 + f,
-			SINRdB: 12.25, MCS: i % 28, BLER: 0.1, MPH: 65.3, Km: float64(i) / 3,
-		})
-		d.RTT = append(d.RTT, RTTSample{TestID: i, TimeUTC: tm, Ms: 41.7 + f})
-		d.Handovers = append(d.Handovers, HandoverRecord{TestID: i, TimeUTC: tm, DurSec: 0.11, FromCell: s, ToCell: s})
-		tm = tm.Add(500 * time.Millisecond)
-	}
-	d.Tests = append(d.Tests, TestSummary{ID: 1, StartUTC: tm, DurSec: 30, MeanBps: 1.234e8})
-	d.Apps = append(d.Apps, AppRun{ID: 2, StartUTC: tm, DurSec: 180, QoE: 3.7})
-	d.Passive = append(d.Passive, PassiveSample{TimeUTC: tm, Km: 17.5, Cell: "V-mmW-9"})
-	return d
-}
-
-// emitScalar replays d record by record through the Sink interface — the
-// pre-batch path the BatchSink implementations must reproduce exactly.
-func emitScalar(d *Dataset, sink Sink) {
-	for _, r := range d.Thr {
-		sink.EmitThr(r)
-	}
-	for _, r := range d.RTT {
-		sink.EmitRTT(r)
-	}
-	for _, r := range d.Handovers {
-		sink.EmitHandover(r)
-	}
-	for _, r := range d.Tests {
-		sink.EmitTest(r)
-	}
-	for _, r := range d.Apps {
-		sink.EmitApp(r)
-	}
-	for _, r := range d.Passive {
-		sink.EmitPassive(r)
-	}
-}
-
-// TestHashSinkBatchIdentical pins the batch emit path of HashSink (and the
-// chunked fold) to the per-record path: same records, same digest.
-func TestHashSinkBatchIdentical(t *testing.T) {
-	d := testBatchDataset()
-	scalar, batched := NewHashSink(), NewHashSink()
-	emitScalar(d, scalar)
-	d.EmitTo(batched)
-	if a, b := scalar.Sum(), batched.Sum(); a != b {
-		t.Fatalf("batch emit changed the digest: scalar %s batch %s", a, b)
-	}
-}
-
-// TestCSVWriterBatchIdentical pins the flat-Write batch path of CSVWriter to
-// per-record emission at the .gz byte level: DEFLATE must not care about
-// Write boundaries.
-func TestCSVWriterBatchIdentical(t *testing.T) {
-	d := testBatchDataset()
-	dirA, dirB := t.TempDir(), t.TempDir()
-	wa, err := NewCSVWriter(dirA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitScalar(d, wa)
-	if err := wa.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wb, err := NewCSVWriter(dirB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.EmitTo(wb)
-	if err := wb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range tableNames {
-		a, err := os.ReadFile(filepath.Join(dirA, name+".gz"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dirB, name+".gz"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s.gz differs between per-record and batch emission", name)
-		}
-	}
-}
-
-// TestParallelCSVWriterBatchIdentical pins the batch path of the chunked
-// parallel writer: chunk boundaries are row-counted, so the member bytes
-// must be identical too.
-func TestParallelCSVWriterBatchIdentical(t *testing.T) {
-	d := testBatchDataset()
-	dirA, dirB := t.TempDir(), t.TempDir()
-	wa, err := NewParallelCSVWriter(dirA, 2, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitScalar(d, wa)
-	if err := wa.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wb, err := NewParallelCSVWriter(dirB, 3, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.EmitTo(wb)
-	if err := wb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range tableNames {
-		a, err := os.ReadFile(filepath.Join(dirA, name+".gz"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dirB, name+".gz"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s.gz differs between per-record and batch emission", name)
-		}
-	}
-}
-
-// TestTeeBatchFallback checks the helper dispatch: a Tee over one batch-aware
-// and one scalar-only sink must deliver every record to both.
-func TestTeeBatchFallback(t *testing.T) {
-	d := testBatchDataset()
-	col := NewCollector(d.Seed)
-	ren := NewRenumber(NewCollector(0)) // Renumber has no batch path by design
-	d.EmitTo(Tee(col, ren))
-	if got, want := len(col.D.Thr), len(d.Thr); got != want {
-		t.Fatalf("collector got %d thr rows, want %d", got, want)
-	}
-	if got, want := len(ren.dst.(*Collector).D.Thr), len(d.Thr); got != want {
-		t.Fatalf("renumbered collector got %d thr rows, want %d", got, want)
-	}
 }

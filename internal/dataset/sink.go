@@ -28,87 +28,45 @@ type Sink interface {
 	Flush() error
 }
 
-// BatchSink is the optional bulk interface of a Sink: a sink that also
-// implements it consumes a whole slice of records per call, so a producer
-// with records already staged in a slice pays one interface dispatch per
-// batch instead of one per record (per Tee member). Each EmitXxxAll call is
-// exactly equivalent to emitting the slice's records in order through the
-// scalar method — same records, same per-table order, so the same bytes
-// from every sink. The slice is borrowed for the duration of the call:
-// implementations must neither mutate nor retain it (a Tee hands the same
-// slice to every member).
-type BatchSink interface {
-	EmitThrAll([]ThroughputSample)
-	EmitRTTAll([]RTTSample)
-	EmitHandoverAll([]HandoverRecord)
-	EmitTestAll([]TestSummary)
-	EmitAppAll([]AppRun)
-	EmitPassiveAll([]PassiveSample)
-}
-
-// EmitThrAll emits a batch into sink: one bulk call when sink implements
-// BatchSink, the per-record loop otherwise. The EmitXxxAll helpers are how
-// producers dispatch batches without caring which kind of sink they hold.
+// EmitThrAll emits a slice of throughput samples into sink, one record at a
+// time in slice order. The EmitXxxAll helpers are plain per-record loops
+// kept for callers holding records in a slice.
 func EmitThrAll(sink Sink, recs []ThroughputSample) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitThrAll(recs)
-		return
-	}
 	for _, r := range recs {
 		sink.EmitThr(r)
 	}
 }
 
-// EmitRTTAll emits a batch of RTT samples; see EmitThrAll.
+// EmitRTTAll emits a slice of RTT samples; see EmitThrAll.
 func EmitRTTAll(sink Sink, recs []RTTSample) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitRTTAll(recs)
-		return
-	}
 	for _, r := range recs {
 		sink.EmitRTT(r)
 	}
 }
 
-// EmitHandoverAll emits a batch of handover records; see EmitThrAll.
+// EmitHandoverAll emits a slice of handover records; see EmitThrAll.
 func EmitHandoverAll(sink Sink, recs []HandoverRecord) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitHandoverAll(recs)
-		return
-	}
 	for _, r := range recs {
 		sink.EmitHandover(r)
 	}
 }
 
-// EmitTestAll emits a batch of test summaries; see EmitThrAll.
+// EmitTestAll emits a slice of test summaries; see EmitThrAll.
 func EmitTestAll(sink Sink, recs []TestSummary) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitTestAll(recs)
-		return
-	}
 	for _, r := range recs {
 		sink.EmitTest(r)
 	}
 }
 
-// EmitAppAll emits a batch of app runs; see EmitThrAll.
+// EmitAppAll emits a slice of app runs; see EmitThrAll.
 func EmitAppAll(sink Sink, recs []AppRun) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitAppAll(recs)
-		return
-	}
 	for _, r := range recs {
 		sink.EmitApp(r)
 	}
 }
 
-// EmitPassiveAll emits a batch of passive samples; see EmitThrAll.
+// EmitPassiveAll emits a slice of passive samples; see EmitThrAll.
 func EmitPassiveAll(sink Sink, recs []PassiveSample) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitPassiveAll(recs)
-		return
-	}
 	for _, r := range recs {
 		sink.EmitPassive(r)
 	}
@@ -118,9 +76,7 @@ func EmitPassiveAll(sink Sink, recs []PassiveSample) {
 // canonical CSV order (throughput, RTT, handovers, tests, apps, passive).
 // Replaying a Collector's dataset reproduces the original per-table emit
 // order, which is what makes streaming and materialized consumers
-// byte-equivalent. Each table goes through the batch helpers, so replaying
-// into batch-aware sinks (the fleet reduction, the phone-lane replay) costs six
-// dispatches per member, not one per record.
+// byte-equivalent.
 func (d *Dataset) EmitTo(sink Sink) {
 	EmitThrAll(sink, d.Thr)
 	EmitRTTAll(sink, d.RTT)
@@ -165,17 +121,6 @@ func (c *Collector) EmitApp(a AppRun)              { c.D.Apps = append(c.D.Apps,
 func (c *Collector) EmitPassive(p PassiveSample)   { c.D.Passive = append(c.D.Passive, p) }
 func (c *Collector) Flush() error                  { return nil }
 
-// Batch emits: a slice append copies the records, so the borrowed batch
-// slice is never retained.
-func (c *Collector) EmitThrAll(recs []ThroughputSample) { c.D.Thr = append(c.D.Thr, recs...) }
-func (c *Collector) EmitRTTAll(recs []RTTSample)        { c.D.RTT = append(c.D.RTT, recs...) }
-func (c *Collector) EmitHandoverAll(recs []HandoverRecord) {
-	c.D.Handovers = append(c.D.Handovers, recs...)
-}
-func (c *Collector) EmitTestAll(recs []TestSummary)      { c.D.Tests = append(c.D.Tests, recs...) }
-func (c *Collector) EmitAppAll(recs []AppRun)            { c.D.Apps = append(c.D.Apps, recs...) }
-func (c *Collector) EmitPassiveAll(recs []PassiveSample) { c.D.Passive = append(c.D.Passive, recs...) }
-
 // Tee fans every record out to all the given sinks in order. Flush flushes
 // every sink and returns the first error.
 func Tee(sinks ...Sink) Sink { return tee(sinks) }
@@ -213,39 +158,6 @@ func (t tee) EmitPassive(p PassiveSample) {
 	}
 }
 
-// Batch emits fan the same borrowed slice out through the helpers, so each
-// member takes its fastest path (bulk when it implements BatchSink, the
-// per-record loop otherwise) and none may mutate the records.
-func (t tee) EmitThrAll(recs []ThroughputSample) {
-	for _, k := range t {
-		EmitThrAll(k, recs)
-	}
-}
-func (t tee) EmitRTTAll(recs []RTTSample) {
-	for _, k := range t {
-		EmitRTTAll(k, recs)
-	}
-}
-func (t tee) EmitHandoverAll(recs []HandoverRecord) {
-	for _, k := range t {
-		EmitHandoverAll(k, recs)
-	}
-}
-func (t tee) EmitTestAll(recs []TestSummary) {
-	for _, k := range t {
-		EmitTestAll(k, recs)
-	}
-}
-func (t tee) EmitAppAll(recs []AppRun) {
-	for _, k := range t {
-		EmitAppAll(k, recs)
-	}
-}
-func (t tee) EmitPassiveAll(recs []PassiveSample) {
-	for _, k := range t {
-		EmitPassiveAll(k, recs)
-	}
-}
 func (t tee) Flush() error {
 	var first error
 	for _, k := range t {
@@ -259,7 +171,7 @@ func (t tee) Flush() error {
 // Renumber is the streaming shard-merge wrapper: it forwards records to dst
 // with every test id shifted past the running maximum of all earlier parts,
 // so concatenating shard streams in route order yields campaign-unique ids
-// that increase along the route — the sink equivalent of MergeRenumbered.
+// that increase along the route, exactly as a serial run numbers them.
 //
 // Emit one part's records, then call Advance before starting the next part.
 // Passive samples carry no test id and pass through unshifted.
@@ -310,11 +222,6 @@ func (r *Renumber) EmitApp(a AppRun) {
 }
 func (r *Renumber) EmitPassive(p PassiveSample) { r.dst.EmitPassive(p) }
 func (r *Renumber) Flush() error                { return r.dst.Flush() }
-
-// Renumber deliberately does not implement BatchSink: shifting ids in bulk
-// would mean mutating the borrowed batch slice (visible to every other Tee
-// member sharing it) or copying it per call. The per-record fallback in the
-// EmitXxxAll helpers keeps it correct at the old cost.
 
 // HashSink computes a SHA-256 fingerprint of the dataset's canonical CSV
 // encoding without materializing any of it: each record is CSV-encoded
@@ -395,75 +302,6 @@ func (s *HashSink) EmitPassive(p PassiveSample) {
 	s.sink(tabPassive)
 }
 
-// Batch emits encode the whole slice into the table buffer, folding full
-// chunks as they fill — one virtual call per batch, and the fold check runs
-// against a register-resident buffer instead of re-loading per record.
-func (s *HashSink) EmitThrAll(recs []ThroughputSample) {
-	b := s.buf[tabThr]
-	for i := range recs {
-		b = s.enc.csvAppendThr(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabThr, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabThr] = b
-}
-func (s *HashSink) EmitRTTAll(recs []RTTSample) {
-	b := s.buf[tabRTT]
-	for i := range recs {
-		b = s.enc.csvAppendRTT(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabRTT, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabRTT] = b
-}
-func (s *HashSink) EmitHandoverAll(recs []HandoverRecord) {
-	b := s.buf[tabHO]
-	for i := range recs {
-		b = s.enc.csvAppendHO(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabHO, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabHO] = b
-}
-func (s *HashSink) EmitTestAll(recs []TestSummary) {
-	b := s.buf[tabTests]
-	for i := range recs {
-		b = s.enc.csvAppendTest(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabTests, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabTests] = b
-}
-func (s *HashSink) EmitAppAll(recs []AppRun) {
-	b := s.buf[tabApps]
-	for i := range recs {
-		b = s.enc.csvAppendApp(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabApps, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabApps] = b
-}
-func (s *HashSink) EmitPassiveAll(recs []PassiveSample) {
-	b := s.buf[tabPassive]
-	for i := range recs {
-		b = s.enc.csvAppendPassive(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabPassive, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabPassive] = b
-}
 func (s *HashSink) Flush() error {
 	for i := range s.buf {
 		if len(s.buf[i]) > 0 {

@@ -24,34 +24,29 @@ func TestCollectorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCSVWriterMatchesSaveCompressed: the streaming exporter's .gz files
-// are byte-identical to SaveCompressed's — same headers, same row encoding,
-// same gzip framing.
-func TestCSVWriterMatchesSaveCompressed(t *testing.T) {
+// TestSaveCompressedMatchesSave: every SaveCompressed table gunzips to
+// exactly the plain file Save writes. SaveCompressed encodes through the
+// byte codecs and Save through encoding/csv, so this cross-checks the two
+// encodings end to end, quoted and escaped fields included.
+func TestSaveCompressedMatchesSave(t *testing.T) {
 	ds := fuzzSeedDataset()
-	saveDir, streamDir := t.TempDir(), t.TempDir()
-	if err := ds.SaveCompressed(saveDir); err != nil {
+	ds.Handovers[0].ToCell = `cell,"quoted"`
+	ds.Passive[0].Cell = " leading space"
+	ds.Passive[1].Cell = `\.`
+	plainDir, gzDir := t.TempDir(), t.TempDir()
+	if err := ds.Save(plainDir); err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewCSVWriter(streamDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds.EmitTo(w)
-	if err := w.Flush(); err != nil {
+	if err := ds.SaveCompressed(gzDir); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range csvFiles {
-		saved, err := os.ReadFile(filepath.Join(saveDir, name+".gz"))
+		plain, err := os.ReadFile(filepath.Join(plainDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := os.ReadFile(filepath.Join(streamDir, name+".gz"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(saved, streamed) {
-			t.Errorf("%s.gz: streamed bytes differ from SaveCompressed", name)
+		if got := gunzipFile(t, filepath.Join(gzDir, name+".gz")); !bytes.Equal(got, plain) {
+			t.Errorf("%s.gz decompresses to\n%s\nwant Save's\n%s", name, got, plain)
 		}
 	}
 }
@@ -76,25 +71,6 @@ func TestHashSinkFingerprint(t *testing.T) {
 	}
 	if e := sum(&Dataset{}); e == a {
 		t.Fatal("empty dataset hashed like a populated one")
-	}
-}
-
-// TestRenumberMatchesMergeRenumbered: merging shard parts through the
-// streaming Renumber wrapper equals the slice-level merge it replaced.
-func TestRenumberMatchesMergeRenumbered(t *testing.T) {
-	a, b := fuzzSeedDataset(), fuzzSeedDataset()
-	want := MergeRenumbered(a, b)
-	col := NewCollector(a.Seed)
-	r := NewRenumber(col)
-	a.EmitTo(r)
-	r.Advance()
-	b.EmitTo(r)
-	r.Advance()
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, col.Dataset()) {
-		t.Fatal("Renumber stream merge differs from MergeRenumbered")
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 
 // CSVWriter is the disk-streaming Sink: it writes each record straight into
 // the per-table gzip CSV files as it is emitted, so exporting a campaign
-// needs no in-memory Dataset at all. The on-disk layout is the same as
-// SaveCompressed's (one <table>.csv.gz per record type, same headers, same
-// row encoding), and LoadCompressed reads it back. Rows are encoded through
-// the byte codecs of rowbytes.go, which produce bit-identical CSV to the
-// encoding/csv path Save uses.
+// needs no in-memory Dataset at all. It writes one <table>.csv.gz per record
+// type — SaveCompressed is this writer fed from a materialized Dataset — and
+// LoadCompressed reads them back. Rows are encoded through the byte codecs
+// of rowbytes.go, which produce bit-identical CSV to the encoding/csv path
+// Save uses.
 //
 // Emit methods latch the first write error; Flush finalizes all six files
 // and returns it. A CSVWriter must be flushed exactly once — emits after
@@ -99,78 +99,6 @@ func (w *CSVWriter) EmitApp(a AppRun) {
 }
 func (w *CSVWriter) EmitPassive(p PassiveSample) {
 	w.row = w.enc.csvAppendPassive(w.row[:0], p)
-	w.write(tabPassive)
-}
-
-// Batch emits encode the whole slice into the row buffer and hand it to the
-// table's gzip stream as one Write. DEFLATE block decisions depend only on
-// the accumulated byte stream, never on Write call boundaries, so the .gz
-// bytes are identical to per-record emission — TestCSVWriterBatchIdentical
-// pins it.
-func (w *CSVWriter) EmitThrAll(recs []ThroughputSample) {
-	if len(recs) == 0 {
-		return
-	}
-	buf := w.row[:0]
-	for i := range recs {
-		buf = w.enc.csvAppendThr(buf, recs[i])
-	}
-	w.row = buf
-	w.write(tabThr)
-}
-func (w *CSVWriter) EmitRTTAll(recs []RTTSample) {
-	if len(recs) == 0 {
-		return
-	}
-	buf := w.row[:0]
-	for i := range recs {
-		buf = w.enc.csvAppendRTT(buf, recs[i])
-	}
-	w.row = buf
-	w.write(tabRTT)
-}
-func (w *CSVWriter) EmitHandoverAll(recs []HandoverRecord) {
-	if len(recs) == 0 {
-		return
-	}
-	buf := w.row[:0]
-	for i := range recs {
-		buf = w.enc.csvAppendHO(buf, recs[i])
-	}
-	w.row = buf
-	w.write(tabHO)
-}
-func (w *CSVWriter) EmitTestAll(recs []TestSummary) {
-	if len(recs) == 0 {
-		return
-	}
-	buf := w.row[:0]
-	for i := range recs {
-		buf = w.enc.csvAppendTest(buf, recs[i])
-	}
-	w.row = buf
-	w.write(tabTests)
-}
-func (w *CSVWriter) EmitAppAll(recs []AppRun) {
-	if len(recs) == 0 {
-		return
-	}
-	buf := w.row[:0]
-	for i := range recs {
-		buf = w.enc.csvAppendApp(buf, recs[i])
-	}
-	w.row = buf
-	w.write(tabApps)
-}
-func (w *CSVWriter) EmitPassiveAll(recs []PassiveSample) {
-	if len(recs) == 0 {
-		return
-	}
-	buf := w.row[:0]
-	for i := range recs {
-		buf = w.enc.csvAppendPassive(buf, recs[i])
-	}
-	w.row = buf
 	w.write(tabPassive)
 }
 
