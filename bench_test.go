@@ -10,7 +10,6 @@ package wheels_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"wheels/internal/analysis"
 	"wheels/internal/apps"
@@ -403,7 +402,7 @@ func BenchmarkFig22_GamingAllOperators(b *testing.B) {
 	}
 }
 
-// --- Campaign engine benches ---
+// --- Campaign bench ---
 
 // campaignBenchConfig is the full LA→Boston methodology with app sessions
 // shortened (as in benchDataset) so one serial iteration stays in the tens
@@ -415,41 +414,11 @@ func campaignBenchConfig() campaign.Config {
 	return cfg
 }
 
-// campaignSerialNs caches the serial engine's wall-clock so the sharded
-// bench can report its speedup even when run in isolation. Benchmarks run
-// sequentially, so a plain package var is safe.
-var campaignSerialNs float64
-
 func BenchmarkCampaign_Serial(b *testing.B) {
 	cfg := campaignBenchConfig()
 	for i := 0; i < b.N; i++ {
-		start := time.Now()
 		campaign.New(cfg).Run()
-		campaignSerialNs = float64(time.Since(start))
 	}
-}
-
-// BenchmarkCampaign_Sharded runs the same full campaign split into 4 route
-// shards and reports the wall-clock speedup over the serial engine
-// (expected ≥2x at 4 shards on a multi-core machine; ~1x or slightly below
-// on a single core, where the shards only add warm-up overhead).
-func BenchmarkCampaign_Sharded(b *testing.B) {
-	cfg := campaignBenchConfig()
-	const shards = 4
-	if campaignSerialNs == 0 {
-		start := time.Now()
-		campaign.New(cfg).Run()
-		campaignSerialNs = float64(time.Since(start))
-	}
-	b.ResetTimer()
-	var elapsed float64
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		campaign.RunSharded(cfg, shards, 0)
-		elapsed = float64(time.Since(start))
-	}
-	b.ReportMetric(shards, "shards")
-	b.ReportMetric(campaignSerialNs/elapsed, "speedup-x")
 }
 
 // --- Ablation benches (DESIGN.md §4) ---

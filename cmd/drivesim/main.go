@@ -6,8 +6,7 @@
 // Usage:
 //
 //	drivesim [-scenario NAME] [-seed N] [-km N] [-out DIR] [-stream-out DIR]
-//	         [-quick] [-video SEC] [-gaming SEC] [-shards N] [-workers N]
-//	         [-rawlogs DIR] [-progress]
+//	         [-quick] [-video SEC] [-gaming SEC] [-rawlogs DIR] [-progress]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // With no flags it reproduces the paper's full methodology (about a minute
@@ -19,9 +18,6 @@
 // "paper" scenario is byte-identical to the pre-scenario simulator. A
 // scenario may pin parts of the test schedule (commuter-loop disables app
 // tests) and rescore the shape invariants against its own thresholds.
-// -shards N splits the route into N segments simulated in parallel; the
-// output is deterministic per (seed, shards) but differs sample-by-sample
-// from the serial dataset (see README "Sharded execution").
 // -stream-out DIR streams records to gzip CSVs as they are produced instead
 // of materializing the dataset, holding only the running summary in memory
 // (see README "Streaming the dataset"); it replaces -out/-gzip. The gzip
@@ -61,9 +57,7 @@ func main() {
 		gaming   = flag.Float64("gaming", 60, "gaming session length in seconds")
 		gz       = flag.Bool("gzip", false, "write the dataset gzip-compressed (.csv.gz)")
 		rawDir   = flag.String("rawlogs", "", "also write raw XCAL + app log files per bulk test into this directory")
-		shards   = flag.Int("shards", 1, "split the route into N segments simulated in parallel (1 = serial engine)")
-		workers  = flag.Int("workers", 0, "max shard workers running at once (0 = GOMAXPROCS)")
-		progress = flag.Bool("progress", false, "print a per-day km ticker on stderr (serial engine only)")
+		progress = flag.Bool("progress", false, "print a per-day km ticker on stderr")
 		verbose  = flag.Bool("v", false, "alias for -progress")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the campaign run to this file")
 		memProf  = flag.String("memprofile", "", "write a post-run heap profile to this file")
@@ -124,22 +118,12 @@ func main() {
 		acc = analysis.NewAccumulator(cfg.Seed)
 		acc.SetShapeParams(sc.ShapeParams())
 		sink := dataset.Tee(w, acc)
-		fmt.Fprintf(os.Stderr, "simulating %s on scenario %s over %.0f km (seed %d, %d shard(s)), streaming to %s...\n",
-			describe(cfg), sc.Name(), rt.LengthKm(), cfg.Seed, *shards, *stream)
-		if *shards > 1 {
-			tb.RunShardedTo(cfg, *shards, *workers, sink)
-		} else {
-			campaign.NewWithTestbed(cfg, tb).RunTo(sink)
-		}
+		fmt.Fprintf(os.Stderr, "simulating %s on scenario %s over %.0f km (seed %d), streaming to %s...\n",
+			describe(cfg), sc.Name(), rt.LengthKm(), cfg.Seed, *stream)
+		campaign.NewWithTestbed(cfg, tb).RunTo(sink)
 		if err := sink.Flush(); err != nil {
 			log.Fatalf("streaming dataset: %v", err)
 		}
-	} else if *shards > 1 {
-		fmt.Fprintf(os.Stderr, "simulating %s on scenario %s over %.0f km (seed %d, %d shards)...\n",
-			describe(cfg), sc.Name(), rt.LengthKm(), cfg.Seed, *shards)
-		col := dataset.NewCollector(cfg.Seed)
-		tb.RunShardedTo(cfg, *shards, *workers, col)
-		ds = col.Dataset()
 	} else {
 		fmt.Fprintf(os.Stderr, "simulating %s on scenario %s over %.0f km (seed %d)...\n",
 			describe(cfg), sc.Name(), rt.LengthKm(), cfg.Seed)

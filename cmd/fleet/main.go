@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	fleet [-scenario LIST] [-seeds N] [-start-seed S] [-workers W] [-shards K]
+//	fleet [-scenario LIST] [-seeds N] [-start-seed S] [-workers W]
 //	      [-checkpoint FILE] [-verify-resume] [-out FILE] [-html FILE]
 //	      [-dump-dir DIR] [-quick] [-km N] [-apps=false] [-procs N]
 //	      [-cpuprofile FILE] [-memprofile FILE]
@@ -77,7 +77,6 @@ func main() {
 		seeds      = flag.Int("seeds", 5, "number of campaigns per scenario (seeds start-seed..start-seed+N-1)")
 		startSeed  = flag.Int64("start-seed", 23, "first campaign seed")
 		workers    = flag.Int("workers", 0, "max campaigns in flight at once (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "route shards per campaign (1 = serial engine)")
 		checkpoint = flag.String("checkpoint", "", "JSONL file to append per-seed summaries to and resume from")
 		verify     = flag.Bool("verify-resume", false, "re-run resumed seeds and warn when the recomputed dataset hash disagrees with the checkpoint (code drift)")
 		out        = flag.String("out", "", "write the cross-seed text report to this file (default stdout)")
@@ -158,7 +157,6 @@ func main() {
 		StartSeed:    *startSeed,
 		Seeds:        *seeds,
 		Workers:      *workers,
-		Shards:       *shards,
 		Checkpoint:   *checkpoint,
 		VerifyResume: *verify,
 		Progress: func(ev fleet.Event) {
@@ -198,8 +196,8 @@ func main() {
 	for i, sn := range sweep {
 		names[i] = sn.Name
 	}
-	fmt.Fprintf(os.Stderr, "fleet: scenarios %s, %d seeds from %d, %d shard(s) per campaign...\n",
-		strings.Join(names, ","), *seeds, *startSeed, *shards)
+	fmt.Fprintf(os.Stderr, "fleet: scenarios %s, %d seeds from %d...\n",
+		strings.Join(names, ","), *seeds, *startSeed)
 
 	if *procs > 1 {
 		// Coordinator phase: partition the sweep across -procs re-invocations
@@ -225,7 +223,6 @@ func main() {
 					"-seeds", strconv.Itoa(*seeds),
 					"-start-seed", strconv.FormatInt(*startSeed, 10),
 					"-workers", strconv.Itoa(*workers),
-					"-shards", strconv.Itoa(*shards),
 					"-checkpoint", *checkpoint,
 					"-km", strconv.FormatFloat(*km, 'g', -1, 64),
 					fmt.Sprintf("-apps=%t", *apps),

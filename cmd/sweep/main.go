@@ -12,7 +12,7 @@
 // Usage:
 //
 //	sweep [-scenario LIST] [-grid FILE] [-seeds N] [-start-seed S]
-//	      [-workers W] [-shards K] [-checkpoint FILE] [-verify-resume]
+//	      [-workers W] [-checkpoint FILE] [-verify-resume]
 //	      [-out FILE] [-html FILE] [-quick] [-km N] [-apps=false]
 //	      [-print-grid]
 //
@@ -185,7 +185,6 @@ func main() {
 		seeds      = flag.Int("seeds", 3, "number of campaigns per (scenario, policy) cell")
 		startSeed  = flag.Int64("start-seed", 23, "first campaign seed")
 		workers    = flag.Int("workers", 0, "max campaigns in flight at once (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "route shards per campaign (1 = serial engine)")
 		checkpoint = flag.String("checkpoint", "", "JSONL file to append per-seed summaries to and resume from")
 		verify     = flag.Bool("verify-resume", false, "re-run resumed seeds and warn when the recomputed dataset hash disagrees with the checkpoint")
 		out        = flag.String("out", "", "write the sweep text report to this file (default stdout)")
@@ -278,7 +277,6 @@ func main() {
 		StartSeed:    *startSeed,
 		Seeds:        *seeds,
 		Workers:      *workers,
-		Shards:       *shards,
 		Checkpoint:   *checkpoint,
 		VerifyResume: *verify,
 		Progress: func(ev fleet.Event) {

@@ -2,14 +2,12 @@ package analysis
 
 // Shape invariants: the qualitative EXPERIMENTS.md claims — who wins, by
 // roughly what factor, and which bands the medians land in — promoted to a
-// production API. The sharded-engine tests and the multi-seed replication
+// production API. The campaign shape test and the multi-seed replication
 // fleet evaluate the same checks, so "does this dataset reproduce the
 // paper's shapes?" has exactly one definition in the codebase.
 //
-// Every check is a pure function of the dataset. Thresholds are the ones
-// the shard contract has always enforced (see README "Sharded execution"):
-// sample-level values move with the seed and the shard count, but these
-// verdicts must not.
+// Every check is a pure function of the dataset. Sample-level values move
+// with the seed, but these verdicts must not.
 
 import (
 	"fmt"
@@ -20,8 +18,7 @@ import (
 )
 
 // ShapeParams are the thresholds behind the shape invariants. The defaults
-// are the bands the shard contract has always enforced for the paper's
-// route; scenarios with different geometry (a downtown mmWave loop has far
+// are the bands the paper's route has always been held to; scenarios with different geometry (a downtown mmWave loop has far
 // more handovers per mile than a cross-country drive) supply their own
 // bounds where route-derived numbers leak into a check. Check names never
 // change with the parameters — only the verdict thresholds do.

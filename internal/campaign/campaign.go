@@ -92,9 +92,8 @@ type phone struct {
 	lat *transport.LatencyModel
 }
 
-// Campaign holds the full testbed. A Campaign is either the whole serial
-// run (startKm = stopKm = 0) or one shard worker of a sharded run, bounded
-// to the route segment [startKm, stopKm).
+// Campaign holds the full testbed for one seed's continuous drive: every
+// phone's RRC and handover state carries across the whole route.
 type Campaign struct {
 	Cfg    Config
 	Route  *geo.Route
@@ -107,11 +106,6 @@ type Campaign struct {
 	// (nil entries mean the default policy); the passive handover loggers
 	// read it so every UE in the campaign runs the same policy.
 	hoCfg [radio.NumOperators]*ran.HandoverConfig
-
-	// Shard bounds; zero values mean the full route. stopKm composes with
-	// Cfg.KmLimit through endKm().
-	startKm float64
-	stopKm  float64
 
 	// sink receives every record as it is produced. Run wires a Collector
 	// here; RunTo wires the caller's sink.
@@ -133,9 +127,8 @@ const traceTrailSec = 3600
 // newTrace simulates the drive, bounded to the campaign's KmLimit (plus
 // trail) when one is set. The generator stops drawing once the limit is
 // reached (geo.DriveLimited), which both sheds the dominant allocation of
-// short runs and skips simulating the days past the limit entirely; serial,
-// shard, and fleet runs over the same (seed, KmLimit) observe identical
-// samples either way.
+// short runs and skips simulating the days past the limit entirely; every
+// run over the same (seed, KmLimit) observes identical samples either way.
 func newTrace(route *geo.Route, rng *sim.RNG, cfg Config) *geo.Trace {
 	return geo.DriveLimited(route, rng.Stream("drive"), cfg.KmLimit, traceTrailSec)
 }
@@ -159,24 +152,6 @@ func deployKmBound(trace *geo.Trace, cfg Config) float64 {
 // is constructed once.
 func New(cfg Config) *Campaign {
 	return NewWithTestbed(cfg, NewTestbed())
-}
-
-// warmup settles a shard worker's fresh UEs by letting them camp idle at
-// the shard's first route position for warmupSec before measurements start.
-// Serial campaigns (startKm == 0) skip it: they begin with a cold attach in
-// LA exactly like the real phones did.
-func (c *Campaign) warmup() {
-	if c.startKm <= 0 {
-		return
-	}
-	idx := c.Trace.AtKm(c.startKm)
-	if idx >= len(c.Trace.Samples) {
-		return
-	}
-	s := c.Trace.Samples[idx]
-	for _, ph := range c.phones {
-		ph.ue.Warmup(s.T, s.Km, s.MPH, s.Road, s.Zone, warmupSec)
-	}
 }
 
 // newTestID allocates a campaign-unique test id.
@@ -228,9 +203,6 @@ func (c *Campaign) endKm() float64 {
 	if c.Cfg.KmLimit > 0 && c.Cfg.KmLimit < end {
 		end = c.Cfg.KmLimit
 	}
-	if c.stopKm > 0 && c.stopKm < end {
-		end = c.stopKm
-	}
 	return end
 }
 
@@ -244,19 +216,17 @@ func (c *Campaign) Run() *dataset.Dataset {
 	return col.Dataset()
 }
 
-// RunTo executes the campaign over its route segment (the whole route for a
-// serial campaign, the shard's [startKm, stopKm) for a shard worker),
-// emitting every record into sink as it is produced. Records of one table
-// arrive in the same order Run appends them, so a Collector sink reproduces
-// Run's dataset byte-for-byte. RunTo does not call sink.Flush — the sink's
-// owner does, after all campaigns feeding it have finished.
+// RunTo executes the campaign over the route (up to Cfg.KmLimit), emitting
+// every record into sink as it is produced. Records of one table arrive in
+// the same order Run appends them, so a Collector sink reproduces Run's
+// dataset byte-for-byte. RunTo does not call sink.Flush — the sink's owner
+// does, after all campaigns feeding it have finished.
 //
 // The campaign goroutine walks the schedule and queues its tests; each
 // phone runs them on a lane goroutine of its own (see lanes). Every lane
 // has exited by the time RunTo returns.
 func (c *Campaign) RunTo(sink dataset.Sink) {
 	c.sink = sink
-	c.warmup()
 	if c.Cfg.EnablePassive {
 		c.runPassiveLoggers()
 	}
@@ -269,11 +239,6 @@ func (c *Campaign) RunTo(sink dataset.Sink) {
 	visited := map[string]bool{}
 
 	t := c.Trace.Samples[0].T
-	if c.startKm > 0 {
-		if idx := c.Trace.AtKm(c.startKm); idx < len(c.Trace.Samples) {
-			t = c.Trace.Samples[idx].T
-		}
-	}
 	// The loop owns its trace and route cursors: t and s.Km only move
 	// forward here, so every lookup after the first is O(1).
 	cur := c.Trace.Cursor()
@@ -299,16 +264,11 @@ func (c *Campaign) RunTo(sink dataset.Sink) {
 			continue
 		}
 
-		// Static baseline battery once per newly entered city. A city whose
-		// urban area straddles a shard boundary is owned by the shard that
-		// contains the area's start, so sharded runs never duplicate (or
-		// drop) a city battery.
+		// Static baseline battery once per newly entered city.
 		if c.Cfg.EnableStatic {
-			if city, areaStart, ok := routeCur.CityAreaAt(s.Km); ok && !visited[city.Name] {
+			if city, _, ok := routeCur.CityAreaAt(s.Km); ok && !visited[city.Name] {
 				visited[city.Name] = true
-				if areaStart >= c.startKm {
-					c.queueStaticBattery(t, s, city)
-				}
+				c.queueStaticBattery(t, s, city)
 			}
 		}
 

@@ -4,10 +4,21 @@ import (
 	"math"
 	"testing"
 
+	"wheels/internal/analysis"
 	"wheels/internal/dataset"
 	"wheels/internal/geo"
+	"wheels/internal/pathtest"
 	"wheels/internal/radio"
 )
+
+// exportBytes saves the dataset under a temp dir and returns the
+// concatenated bytes of every CSV file. It delegates to the shared helper
+// so every byte-identity test (including the scenario paper-route guard)
+// hashes the same form.
+func exportBytes(t *testing.T, ds *dataset.Dataset) []byte {
+	t.Helper()
+	return pathtest.ExportBytes(t, ds)
+}
 
 // quickDS runs a reduced campaign (first 200 km, network tests only) once
 // per test binary invocation.
@@ -315,5 +326,78 @@ func TestWhereExtrapolationAndOvernightClamp(t *testing.T) {
 	got = c.where(end.T + 3600)
 	if got.Km > end.Km+end.MPH*geo.KmPerMile/3600*maxExtrapolateSec+1e-9 {
 		t.Errorf("where past trace end extrapolated unboundedly: km %.3f vs final sample %.3f", got.Km, end.Km)
+	}
+}
+
+// TestTestIDsUniqueAndRouteOrdered checks test-id allocation over a run
+// with static city batteries and passive loggers on: ids are unique and
+// contiguous 1..N, driving-test ids increase along the route, and every
+// throughput, RTT and handover row references a known test.
+func TestTestIDsUniqueAndRouteOrdered(t *testing.T) {
+	cfg := QuickConfig(23, 120)
+	cfg.EnablePassive = true
+	cfg.EnableStatic = true
+	ds := New(cfg).Run()
+	if len(ds.Passive) == 0 {
+		t.Fatal("run produced no passive samples")
+	}
+	seen := map[int]bool{}
+	lastID, maxID, static := 0, 0, 0
+	for _, ts := range ds.Tests {
+		if seen[ts.ID] {
+			t.Fatalf("test id %d appears twice", ts.ID)
+		}
+		seen[ts.ID] = true
+		maxID = max(maxID, ts.ID)
+		if ts.Static {
+			// Static batteries interleave with the cycle ids.
+			static++
+			continue
+		}
+		if ts.ID <= lastID {
+			t.Fatalf("driving test id %d out of order after id %d", ts.ID, lastID)
+		}
+		lastID = ts.ID
+	}
+	if static == 0 {
+		t.Fatal("run produced no static tests")
+	}
+	if maxID != len(seen) {
+		t.Errorf("ids not contiguous: max id %d over %d tests", maxID, len(seen))
+	}
+	for _, s := range ds.Thr {
+		if !seen[s.TestID] {
+			t.Fatalf("throughput sample references unknown test id %d", s.TestID)
+		}
+	}
+	for _, s := range ds.RTT {
+		if !seen[s.TestID] {
+			t.Fatalf("RTT sample references unknown test id %d", s.TestID)
+		}
+	}
+	for _, h := range ds.Handovers {
+		if !seen[h.TestID] {
+			t.Fatalf("handover references unknown test id %d", h.TestID)
+		}
+	}
+}
+
+// TestSerialCampaignShapes checks the EXPERIMENTS.md qualitative
+// invariants over a 500-km run with static batteries. The invariants live
+// in analysis.CheckShapes, the same definition the replication fleet
+// scores seeds against.
+func TestSerialCampaignShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-hundred-km campaign")
+	}
+	cfg := DefaultConfig(23)
+	cfg.EnableApps = false
+	cfg.EnableSpeedTest = false
+	cfg.EnablePassive = false
+	cfg.KmLimit = 500
+	for _, r := range analysis.CheckShapes(New(cfg).Run()) {
+		if !r.Pass {
+			t.Errorf("shape %s failed: %s", r.Name, r.Detail)
+		}
 	}
 }

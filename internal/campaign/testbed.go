@@ -1,9 +1,6 @@
 package campaign
 
 import (
-	"runtime"
-
-	"wheels/internal/dataset"
 	"wheels/internal/deploy"
 	"wheels/internal/geo"
 	"wheels/internal/radio"
@@ -17,11 +14,11 @@ import (
 // and the server registry, both pure functions of nothing (the route is the
 // paper's fixed LA → Boston itinerary). Everything here is immutable after
 // construction and safe to share read-only across goroutines, so a fleet
-// builds one Testbed and hands it to every seed and every shard worker
-// instead of reconstructing it per campaign. The seed-dependent parts —
-// drive trace, deployments, UEs, latency models — are still built per
-// campaign by NewWithTestbed; the deploy and radio calibration tables are
-// package-level and already shared by construction.
+// builds one Testbed and hands it to every seed instead of reconstructing
+// it per campaign. The seed-dependent parts — drive trace, deployments,
+// UEs, latency models — are still built per campaign by NewWithTestbed;
+// the deploy and radio calibration tables are package-level and already
+// shared by construction.
 type Testbed struct {
 	Route *geo.Route
 	Reg   *servers.Registry
@@ -119,47 +116,4 @@ func NewWithTestbed(cfg Config, tb *Testbed) *Campaign {
 		})
 	}
 	return c
-}
-
-// RunShardedTo runs the sharded campaign over this testbed, streaming the
-// merged record stream into sink exactly as the package-level RunShardedTo
-// does; see its contract. Fleet workers use this form so the route and
-// registry are built once per fleet, not once per (seed, shard).
-func (tb *Testbed) RunShardedTo(cfg Config, shards, workers int, sink dataset.Sink) {
-	if shards <= 1 {
-		NewWithTestbed(cfg, tb).RunTo(sink)
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sh := newSharedTestbed(cfg, tb)
-	end := sh.route.LengthKm()
-	if cfg.KmLimit > 0 && cfg.KmLimit < end {
-		end = cfg.KmLimit
-	}
-
-	parts := make([]chan *dataset.Dataset, shards)
-	for i := range parts {
-		parts[i] = make(chan *dataset.Dataset, 1)
-	}
-	sem := make(chan struct{}, workers)
-	for i := 0; i < shards; i++ {
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			startKm := end * float64(i) / float64(shards)
-			stopKm := end * float64(i+1) / float64(shards)
-			parts[i] <- newShardWorker(cfg, sh, i, startKm, stopKm).Run()
-		}(i)
-	}
-	// Consume in shard order: route order for the output stream, with each
-	// shard's test ids shifted past the earlier shards' by a Renumber, so
-	// ids are campaign-unique and increase along the route.
-	renum := dataset.NewRenumber(sink)
-	for i := range parts {
-		p := <-parts[i]
-		p.EmitTo(renum)
-		renum.Advance()
-	}
 }

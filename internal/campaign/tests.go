@@ -345,8 +345,8 @@ func (c *Campaign) runPassiveLoggers() {
 	}
 }
 
-// runPassiveLogger walks one carrier's handover-logger along the trace,
-// bounded to the campaign's route segment in a shard worker.
+// runPassiveLogger walks one carrier's handover-logger along the trace up
+// to route distance end.
 func (c *Campaign) runPassiveLogger(op radio.Operator, end float64) []dataset.PassiveSample {
 	var out []dataset.PassiveSample
 	{
@@ -356,10 +356,6 @@ func (c *Campaign) runPassiveLogger(op radio.Operator, end float64) []dataset.Pa
 		if step <= 0 {
 			step = 2
 		}
-		start := 0
-		if c.startKm > 0 {
-			start = c.Trace.AtKm(c.startKm)
-		}
 		// Cell-ID memo: a logger camps on the same cell for many consecutive
 		// samples, so the string form is re-rendered only when the serving
 		// cell actually changes. The init flag matters because the zero
@@ -367,7 +363,7 @@ func (c *Campaign) runPassiveLogger(op radio.Operator, end float64) []dataset.Pa
 		var lastKey deploy.CellKey
 		var lastID string
 		haveID := false
-		for i := start; i < len(c.Trace.Samples); i += int(step) {
+		for i := 0; i < len(c.Trace.Samples); i += int(step) {
 			s := c.Trace.Samples[i]
 			if s.Km >= end {
 				break

@@ -16,7 +16,7 @@ import (
 
 // row is a minimal checkpoint summary under the given key.
 func row(scenario, policy string, seed int64) fleet.SeedSummary {
-	return fleet.SeedSummary{Scenario: scenario, Policy: policy, Seed: seed, Shards: 1, Tests: int(seed)}
+	return fleet.SeedSummary{Scenario: scenario, Policy: policy, Seed: seed, Tests: int(seed)}
 }
 
 // keysInFileOrder decodes a checkpoint file line by line and returns its

@@ -207,30 +207,3 @@ func (d *Dataset) TestByID(id int) (TestSummary, bool) {
 	}
 	return TestSummary{}, false
 }
-
-// MaxTestID returns the largest test id present in any table of the
-// dataset, or 0 if the dataset holds no id-carrying records.
-func (d *Dataset) MaxTestID() int {
-	max := 0
-	up := func(id int) {
-		if id > max {
-			max = id
-		}
-	}
-	for _, s := range d.Thr {
-		up(s.TestID)
-	}
-	for _, s := range d.RTT {
-		up(s.TestID)
-	}
-	for _, h := range d.Handovers {
-		up(h.TestID)
-	}
-	for _, t := range d.Tests {
-		up(t.ID)
-	}
-	for _, a := range d.Apps {
-		up(a.ID)
-	}
-	return max
-}

@@ -133,7 +133,7 @@ func BenchmarkFleetMaterialized(b *testing.B) {
 		ds := c.Run()
 		peakSum += liveHeapMB(base)
 		runtime.KeepAlive(c)
-		sums = append(sums, Reduce(ds, 1))
+		sums = append(sums, Reduce(ds))
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Hours(), "seeds/hour")
@@ -164,7 +164,7 @@ func BenchmarkFleetStreaming(b *testing.B) {
 		}
 		peakSum += liveHeapMB(base)
 		runtime.KeepAlive(c)
-		sums = append(sums, summarize(acc, h.Sum(), 1, "paper"))
+		sums = append(sums, summarize(acc, h.Sum(), "paper"))
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Hours(), "seeds/hour")

@@ -10,9 +10,12 @@ package fleet
 //   - unknown fields are ignored, so older binaries read newer files;
 //   - an absent scenario field means "paper" — the only scenario builds
 //     that predate scenarios could run — so their files keep resuming;
+//   - a line with "shards" above 1 is skipped before dedup: it came from
+//     the route-sharded engine older builds offered and describes a
+//     different dataset, so a later serial row for the same seed wins;
 //   - any undecodable line is skipped rather than failing the resume.
 //
-// Every surviving entry is a pure function of (scenario, seed, shards), so
+// Every surviving entry is a pure function of (scenario, policy, seed), so
 // "skip the seeds already on disk" is equivalent to re-running them.
 
 import (
@@ -54,9 +57,10 @@ func ParseCheckpoint(r io.Reader) (map[SeedKey]SeedSummary, error) {
 		// A record must at least carry an explicit seed: this rejects torn
 		// lines and stray JSON (which would otherwise register seed 0).
 		var probe struct {
-			Seed *int64 `json:"seed"`
+			Seed   *int64 `json:"seed"`
+			Shards int    `json:"shards"`
 		}
-		if err := json.Unmarshal(line, &probe); err != nil || probe.Seed == nil {
+		if err := json.Unmarshal(line, &probe); err != nil || probe.Seed == nil || probe.Shards > 1 {
 			continue
 		}
 		var sum SeedSummary

@@ -11,7 +11,6 @@ func sampleSummary(seed int64) SeedSummary {
 	return SeedSummary{
 		Scenario: "paper",
 		Seed:     seed,
-		Shards:   1,
 		Ops: map[string]OpSummary{
 			"V": {DriveDLMedMbps: 15.7, StaticDLMedMbps: 1290, HOsPerMileMed: 1.9},
 			"T": {DriveDLMedMbps: 20.6, FiveGMileShare: 0.64},
@@ -91,8 +90,8 @@ func TestCheckpointLegacyFixture(t *testing.T) {
 
 func TestCheckpointDecoderTolerance(t *testing.T) {
 	line23, _ := EncodeSummary(sampleSummary(23))
-	dup23, _ := EncodeSummary(SeedSummary{Scenario: "paper", Seed: 23, Shards: 1, ThrSamples: 9999})
-	urban23, _ := EncodeSummary(SeedSummary{Scenario: "dense-urban", Seed: 23, Shards: 1, ThrSamples: 777})
+	dup23, _ := EncodeSummary(SeedSummary{Scenario: "paper", Seed: 23, ThrSamples: 9999})
+	urban23, _ := EncodeSummary(SeedSummary{Scenario: "dense-urban", Seed: 23, ThrSamples: 777})
 
 	paper := func(seed int64) SeedKey { return SeedKey{Scenario: "paper", Seed: seed} }
 	cases := []struct {

@@ -28,7 +28,6 @@ type Config struct {
 	StartSeed int64 // first seed; the fleet runs StartSeed..StartSeed+Seeds-1
 	Seeds     int   // number of campaigns per scenario
 	Workers   int   // max campaigns in flight at once (0 = GOMAXPROCS)
-	Shards    int   // route shards per campaign (<= 1 = serial engine)
 
 	// Stride/Offset partition the sweep across cooperating fleet processes
 	// (the multi-process coordinator in internal/coord). When Stride > 1,
@@ -38,18 +37,18 @@ type Config struct {
 	// rows outside the partition are neither adopted nor re-run; they stay
 	// in the file for the process that owns them. Stride <= 1 (the zero
 	// value) is the whole sweep. Because each partition's summaries are the
-	// same pure functions of (scenario, seed, shards) they always were,
+	// same pure functions of (scenario, policy, seed) they always were,
 	// merging the partitions' checkpoints reproduces the single-process
 	// file — see MergeShards.
 	Stride int
 	Offset int
 
 	// Checkpoint, when set, is the JSONL file completed seeds append to
-	// and resume reads from. (Scenario, seed) pairs already present (with a
-	// matching shard count) are not re-run, so one checkpoint file carries
-	// a whole multi-scenario sweep. The fleet holds an exclusive lock file
-	// ("<checkpoint>.lock") for the whole run: a second fleet pointed at
-	// the same checkpoint fails fast instead of interleaving writes.
+	// and resume reads from. (Scenario, seed) pairs already present are not
+	// re-run, so one checkpoint file carries a whole multi-scenario sweep.
+	// The fleet holds an exclusive lock file ("<checkpoint>.lock") for the
+	// whole run: a second fleet pointed at the same checkpoint fails fast
+	// instead of interleaving writes.
 	Checkpoint string
 
 	// VerifyResume re-runs every resumed seed through the streaming engine
@@ -132,7 +131,7 @@ type Event struct {
 }
 
 // Run executes the fleet and returns the cross-seed report. The report is
-// a pure function of (Base, Scenarios, StartSeed, Seeds, Shards): worker
+// a pure function of (Base, Scenarios, StartSeed, Seeds): worker
 // count, scheduling, kills and checkpoint resumes cannot change a byte of
 // it.
 //
@@ -186,10 +185,6 @@ func Run(cfg Config) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
 
 	// The checkpoint is exclusive for the whole run: resume reads and
 	// completion appends from two fleets would corrupt each other.
@@ -204,11 +199,9 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// Resume: adopt checkpointed summaries for (scenario, seed) pairs in
-	// this fleet's partition that were reduced under the same shard count (a
-	// different shard count is a different dataset, hence a different
-	// summary). Rows for scenarios this sweep does not run — or pairs in
-	// another process's partition — are left alone; they stay in the file
-	// for the fleet that does run them.
+	// this fleet's partition. Rows for scenarios this sweep does not run —
+	// or pairs in another process's partition — are left alone; they stay
+	// in the file for the fleet that does run them.
 	done := map[SeedKey]SeedSummary{}
 	if cfg.Checkpoint != "" {
 		prev, err := LoadCheckpoint(cfg.Checkpoint)
@@ -218,7 +211,7 @@ func Run(cfg Config) (*Report, error) {
 		for key, sum := range prev {
 			cell := SeedKey{Scenario: key.Scenario, Policy: key.Policy}
 			ci, swept := cellIdx[cell]
-			if swept && key.Seed >= cfg.StartSeed && key.Seed < cfg.StartSeed+int64(cfg.Seeds) && inPart(ci, key.Seed) && sum.Shards == shards {
+			if swept && key.Seed >= cfg.StartSeed && key.Seed < cfg.StartSeed+int64(cfg.Seeds) && inPart(ci, key.Seed) {
 				done[key] = sum
 			}
 		}
@@ -314,7 +307,7 @@ func Run(cfg Config) (*Report, error) {
 					c = sn.Configure(c)
 				}
 				if jb.verify {
-					re, err := runSeed(c, sn, shards, sc, nil)
+					re, err := runSeed(c, sn, sc, nil)
 					if err != nil {
 						fail(fmt.Errorf("fleet: re-running %s seed %d: %w", sn.Name, jb.seed, err))
 						continue
@@ -334,7 +327,7 @@ func Run(cfg Config) (*Report, error) {
 					}
 					extra = s
 				}
-				sum, err := runSeed(c, sn, shards, sc, extra)
+				sum, err := runSeed(c, sn, sc, extra)
 				if err != nil {
 					fail(fmt.Errorf("fleet: streaming %s seed %d: %w", sn.Name, jb.seed, err))
 					continue
@@ -372,5 +365,5 @@ func Run(cfg Config) (*Report, error) {
 		}
 		return sums[i].Seed < sums[j].Seed
 	})
-	return &Report{StartSeed: cfg.StartSeed, Seeds: cfg.Seeds, Shards: shards, Scenarios: names, Summaries: sums}, nil
+	return &Report{StartSeed: cfg.StartSeed, Seeds: cfg.Seeds, Scenarios: names, Summaries: sums}, nil
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -101,44 +102,58 @@ func TestFleetCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestFleetShardMismatchNotReused: a summary reduced under a different
-// shard count is a different dataset and must not satisfy a resume.
-func TestFleetShardMismatchNotReused(t *testing.T) {
-	dir := t.TempDir()
-	ck := filepath.Join(dir, "fleet.jsonl")
-
+// TestCheckpointSkipsShardedRows: a row written by the route-sharded
+// engine older builds offered ("shards" above 1) describes a different
+// dataset. The decoder drops it before dedup, so a later serial row for
+// the same seed is the one kept, and Run resumes that row instead of
+// re-running the seed and appending yet another.
+func TestCheckpointSkipsShardedRows(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "fleet.jsonl")
 	cfg := testConfig(ck)
 	cfg.Seeds = 1
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-
-	cfg.Shards = 2
-	var events []Event
-	cfg.Progress = func(ev Event) { events = append(events, ev) }
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
-		if ev.Resumed {
-			t.Errorf("seed %d resumed from a checkpoint written with a different shard count", ev.Seed)
-		}
-	}
-}
-
-func TestFleetShardedSmoke(t *testing.T) {
-	cfg := testConfig("")
-	cfg.Seeds = 1
-	cfg.Shards = 2
-	rep, err := Run(cfg)
+	b, err := os.ReadFile(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Summaries) != 1 || rep.Summaries[0].ThrSamples == 0 {
-		t.Fatalf("sharded fleet produced %+v", rep.Summaries)
+	line := func(shards int, sha string) []byte {
+		var row map[string]any
+		if err := json.Unmarshal(b, &row); err != nil {
+			t.Fatal(err)
+		}
+		row["shards"] = shards
+		row["dataset_sha256"] = sha
+		out, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(out, '\n')
 	}
-	if rep.Summaries[0].Shards != 2 {
-		t.Errorf("summary records %d shards, want 2", rep.Summaries[0].Shards)
+	content := append(line(2, "sharded"), line(1, "serial")...)
+	if err := os.WriteFile(ck, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sums, err := LoadCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sums[SeedKey{Scenario: "paper", Seed: 23}].DatasetSHA256; got != "serial" || len(sums) != 1 {
+		t.Fatalf("kept seed 23 row with hash %q (%d rows), want the serial row", got, len(sums))
+	}
+
+	cfg.Progress = func(ev Event) {
+		if !ev.Resumed {
+			t.Errorf("seed %d re-ran instead of resuming the serial row", ev.Seed)
+		}
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(ck); err != nil || !bytes.Equal(after, content) {
+		t.Errorf("resume rewrote the checkpoint (err %v)", err)
 	}
 }
 
@@ -283,8 +298,8 @@ func TestFleetScenarioSweepResume(t *testing.T) {
 }
 
 // TestFleetScenarioMismatchNotReused: a checkpoint row from one scenario
-// must never satisfy another scenario's (seed, shards) — same seed, same
-// shard count, different route, different data.
+// must never satisfy another scenario's seed — same seed, different route,
+// different data.
 func TestFleetScenarioMismatchNotReused(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "fleet.jsonl")
 	cfg := testConfig(ck)
@@ -324,8 +339,8 @@ func TestReduceEmptyDataset(t *testing.T) {
 		{Seed: 99},
 		{Seed: 99, Tests: []dataset.TestSummary{{ID: 1, Miles: 1}}},
 	} {
-		sum := Reduce(ds, 1)
-		if sum.Seed != 99 || sum.Shards != 1 {
+		sum := Reduce(ds)
+		if sum.Seed != 99 {
 			t.Fatalf("Reduce keyed summary wrong: %+v", sum)
 		}
 		for op, o := range sum.Ops {
@@ -353,7 +368,7 @@ func TestReduceEmptyDataset(t *testing.T) {
 // TestFleetReportEmpty: a fleet whose seeds all failed to load still
 // renders (and HTML-renders) without NaNs or panics.
 func TestFleetReportEmpty(t *testing.T) {
-	rep := &Report{StartSeed: 5, Seeds: 2, Shards: 1}
+	rep := &Report{StartSeed: 5, Seeds: 2}
 	text := rep.RenderText()
 	if !strings.Contains(text, "no completed seeds") {
 		t.Errorf("empty report rendered:\n%s", text)

@@ -13,34 +13,34 @@ import (
 
 // TestStreamingSummaryMatchesReduce: the streaming per-seed reduction
 // (runSeed — campaign records straight into Accumulator + HashSink) yields
-// exactly the summary the materialized path computes, serial and sharded,
-// hash included.
+// exactly the summary the materialized path computes, hash included.
 func TestStreamingSummaryMatchesReduce(t *testing.T) {
 	cfg := campaign.QuickConfig(23, 60)
 
 	sn := Scenario{Name: "paper", Testbed: campaign.NewTestbed(), Shapes: analysis.DefaultShapeParams()}
 	sc := newSeedScratch()
-	want := Reduce(campaign.New(cfg).Run(), 1)
-	got, err := runSeed(cfg, sn, 1, sc, nil)
+	want := Reduce(campaign.New(cfg).Run())
+	got, err := runSeed(cfg, sn, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("serial: streaming summary differs from Reduce\n got %+v\nwant %+v", got, want)
+		t.Errorf("streaming summary differs from Reduce\n got %+v\nwant %+v", got, want)
 	}
 	if got.DatasetSHA256 == "" {
 		t.Error("streaming summary has no dataset hash")
 	}
 
-	// The sharded pass reuses the same scratch, so this also pins the reset
-	// contract: a worker's second seed reduces identically to a fresh one.
-	wantSh := Reduce(campaign.RunSharded(cfg, 3, 0), 3)
-	gotSh, err := runSeed(cfg, sn, 3, sc, nil)
+	// A second seed through the same scratch pins the reset contract: a
+	// worker's second seed reduces identically to a fresh one.
+	cfg2 := campaign.QuickConfig(24, 60)
+	want2 := Reduce(campaign.New(cfg2).Run())
+	got2, err := runSeed(cfg2, sn, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(wantSh, gotSh) {
-		t.Errorf("sharded: streaming summary differs from Reduce\n got %+v\nwant %+v", gotSh, wantSh)
+	if !reflect.DeepEqual(want2, got2) {
+		t.Errorf("second seed: streaming summary differs from Reduce\n got %+v\nwant %+v", got2, want2)
 	}
 }
 

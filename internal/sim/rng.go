@@ -70,21 +70,6 @@ func (r *RNG) Stream(labels ...string) *RNG {
 	return c
 }
 
-// Shard derives an independent child stream for the i-th route shard. The
-// derivation folds the shard index into the key numerically (not via a
-// formatted label), so Shard(i) is cheap and cannot collide with any
-// label-derived stream. Shard workers key every subsystem stream under
-// (seed, shard, subsystem, operator): root.Shard(i).Stream("test-phone")
-// and so on, which makes each shard's draw sequence self-contained and the
-// merged campaign independent of worker scheduling.
-func (r *RNG) Shard(i int) *RNG {
-	key := hashLabel(r.key, "shard")
-	key = splitmix64(key ^ splitmix64(uint64(i)+0x9e3779b97f4a7c15))
-	c := &RNG{key: key}
-	c.src.seed(int64(key))
-	return c
-}
-
 // Float64 returns a uniform draw in [0, 1).
 func (r *RNG) Float64() float64 { return r.src.Float64() }
 

@@ -41,46 +41,6 @@ func TestStreamLabelPathSensitivity(t *testing.T) {
 	}
 }
 
-func TestShardDeterminism(t *testing.T) {
-	a := NewRNG(23).Shard(3).Stream("test-phone")
-	b := NewRNG(23).Shard(3).Stream("test-phone")
-	for i := 0; i < 100; i++ {
-		if a.Float64() != b.Float64() {
-			t.Fatalf("identical shard streams diverged at draw %d", i)
-		}
-	}
-}
-
-func TestShardIndependence(t *testing.T) {
-	// Distinct shard indices — and shard streams vs. label streams of the
-	// same root — must not correlate: each shard worker replays the same
-	// subsystem label paths, so collisions would couple shards.
-	root := NewRNG(23)
-	streams := []*RNG{
-		root.Shard(0), root.Shard(1), root.Shard(2),
-		root.Stream("shard"), root.Stream("test-phone"),
-	}
-	draws := make([][]float64, len(streams))
-	for i, s := range streams {
-		for k := 0; k < 200; k++ {
-			draws[i] = append(draws[i], s.Float64())
-		}
-	}
-	for i := 0; i < len(streams); i++ {
-		for j := i + 1; j < len(streams); j++ {
-			same := 0
-			for k := range draws[i] {
-				if draws[i][k] == draws[j][k] {
-					same++
-				}
-			}
-			if same > 0 {
-				t.Errorf("streams %d and %d share %d of 200 draws", i, j, same)
-			}
-		}
-	}
-}
-
 func TestSeedSensitivity(t *testing.T) {
 	a := NewRNG(1).Stream("x")
 	b := NewRNG(2).Stream("x")
