@@ -266,7 +266,7 @@ func (c *Campaign) RunTo(sink dataset.Sink) {
 
 		// Static baseline battery once per newly entered city.
 		if c.Cfg.EnableStatic {
-			if city, _, ok := routeCur.CityAreaAt(s.Km); ok && !visited[city.Name] {
+			if city, ok := routeCur.CityAt(s.Km); ok && !visited[city.Name] {
 				visited[city.Name] = true
 				c.queueStaticBattery(t, s, city)
 			}

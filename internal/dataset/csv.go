@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"wheels/internal/geo"
@@ -246,13 +247,22 @@ func writeCSV(dir, name string, header []string, n int, row func(i int) []string
 	return f.Close()
 }
 
-// readCSV parses one table from r, checking every record's column count;
-// name labels its errors.
-func readCSV(r io.Reader, name string, wantCols int, row func(rec []string) error) error {
+// readCSV parses one table from r: a header that must equal header field
+// for field, then records of exactly len(header) columns. name labels its
+// errors. The reader reuses its record slice, so row must not keep rec
+// itself; the field strings it keeps stay valid.
+func readCSV(r io.Reader, name string, header []string, row func(rec []string) error) error {
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = wantCols
-	if _, err := cr.Read(); err != nil { // header
+	cr.FieldsPerRecord = len(header)
+	cr.ReuseRecord = true
+	got, err := cr.Read()
+	if err != nil {
 		return rowErr{name, 1, err}
+	}
+	for i, want := range header {
+		if got[i] != want {
+			return rowErr{name, 1, fmt.Errorf("header column %d is %q, want %q", i+1, got[i], want)}
+		}
 	}
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
@@ -268,10 +278,11 @@ func readCSV(r io.Reader, name string, wantCols int, row func(rec []string) erro
 	}
 }
 
-// readTable opens one table file under dir — <name>.gz through a
-// gzip.Reader when gz is set — and parses it with readCSV. A truncated or
-// corrupt stream surfaces as a read error naming the file.
-func readTable(dir, name string, gz bool, wantCols int, row func(rec []string) error) error {
+// readTable opens table tab under dir — its .gz through a gzip.Reader when
+// gz is set — and parses it with readCSV. A truncated or corrupt stream
+// surfaces as a read error naming the file.
+func readTable(dir string, tab int, gz bool, row func(rec []string) error) error {
+	name := tableNames[tab]
 	if gz {
 		name += ".gz"
 	}
@@ -289,7 +300,7 @@ func readTable(dir, name string, gz bool, wantCols int, row func(rec []string) e
 		defer zr.Close()
 		r = zr
 	}
-	return readCSV(r, name, wantCols, row)
+	return readCSV(r, name, tableHeaders[tab], row)
 }
 
 // Save writes the dataset as CSV files under dir, creating it if needed.
@@ -329,87 +340,85 @@ func Load(dir string) (*Dataset, error) { return load(dir, false) }
 // it parses.
 func LoadCompressed(dir string) (*Dataset, error) { return load(dir, true) }
 
+// load decodes the six tables concurrently, one goroutine per table. Each
+// row parser appends only to its own Dataset field, so the goroutines share
+// nothing but the read-only table definitions. All of them finish before
+// load returns, and the error reported is the first one in canonical table
+// order — the one a table-by-table load would have hit first.
 func load(dir string, gz bool) (*Dataset, error) {
 	d := &Dataset{}
-	err := readTable(dir, fileThr, gz, 18, func(r []string) error {
-		var p parser
-		s := ThroughputSample{
-			TestID: p.i(r[0]), Op: p.op(r[1]), Dir: p.dir(r[2]), TimeUTC: p.t(r[3]), Bps: p.f(r[4]),
-			Tech: p.tech(r[5]), RSRPdBm: p.f(r[6]), SINRdB: p.f(r[7]), MCS: p.i(r[8]), BLER: p.f(r[9]),
-			CC: p.i(r[10]), MPH: p.f(r[11]), Km: p.f(r[12]), Zone: p.zone(r[13]), Road: p.road(r[14]),
-			Server: p.kind(r[15]), Static: p.b(r[16]), HOs: p.i(r[17]),
-		}
-		d.Thr = append(d.Thr, s)
-		return p.err
-	})
-	if err != nil {
-		return nil, err
+	rows := [numTables]func(r []string) error{
+		tabThr: func(r []string) error {
+			var p parser
+			d.Thr = append(d.Thr, ThroughputSample{
+				TestID: p.i(r[0]), Op: p.op(r[1]), Dir: p.dir(r[2]), TimeUTC: p.t(r[3]), Bps: p.f(r[4]),
+				Tech: p.tech(r[5]), RSRPdBm: p.f(r[6]), SINRdB: p.f(r[7]), MCS: p.i(r[8]), BLER: p.f(r[9]),
+				CC: p.i(r[10]), MPH: p.f(r[11]), Km: p.f(r[12]), Zone: p.zone(r[13]), Road: p.road(r[14]),
+				Server: p.kind(r[15]), Static: p.b(r[16]), HOs: p.i(r[17]),
+			})
+			return p.err
+		},
+		tabRTT: func(r []string) error {
+			var p parser
+			d.RTT = append(d.RTT, RTTSample{
+				TestID: p.i(r[0]), Op: p.op(r[1]), TimeUTC: p.t(r[2]), Ms: p.f(r[3]), Tech: p.tech(r[4]),
+				MPH: p.f(r[5]), Km: p.f(r[6]), Zone: p.zone(r[7]), Server: p.kind(r[8]), Static: p.b(r[9]),
+			})
+			return p.err
+		},
+		tabHO: func(r []string) error {
+			var p parser
+			d.Handovers = append(d.Handovers, HandoverRecord{
+				TestID: p.i(r[0]), Op: p.op(r[1]), TimeUTC: p.t(r[2]), DurSec: p.f(r[3]),
+				FromTech: p.tech(r[4]), ToTech: p.tech(r[5]), FromCell: p.s(r[6]), ToCell: p.s(r[7]), Dir: p.dir(r[8]),
+			})
+			return p.err
+		},
+		tabTests: func(r []string) error {
+			var p parser
+			d.Tests = append(d.Tests, TestSummary{
+				ID: p.i(r[0]), Op: p.op(r[1]), Kind: TestKind(p.s(r[2])), Dir: p.dir(r[3]), StartUTC: p.t(r[4]),
+				DurSec: p.f(r[5]), Zone: p.zone(r[6]), Server: p.kind(r[7]), Static: p.b(r[8]),
+				MeanBps: p.f(r[9]), StdFracBps: p.f(r[10]), MeanRTTms: p.f(r[11]), StdFracRTT: p.f(r[12]),
+				HighSpeedFrac: p.f(r[13]), Miles: p.f(r[14]), HOCount: p.i(r[15]),
+				RxBytes: p.f(r[16]), TxBytes: p.f(r[17]),
+			})
+			return p.err
+		},
+		tabApps: func(r []string) error {
+			var p parser
+			d.Apps = append(d.Apps, AppRun{
+				ID: p.i(r[0]), Op: p.op(r[1]), App: TestKind(p.s(r[2])), StartUTC: p.t(r[3]), DurSec: p.f(r[4]),
+				Server: p.kind(r[5]), Static: p.b(r[6]), Compressed: p.b(r[7]), HighSpeedFrac: p.f(r[8]),
+				HOCount: p.i(r[9]), MedianE2EMs: p.f(r[10]), OffloadFPS: p.f(r[11]), MAP: p.f(r[12]),
+				QoE: p.f(r[13]), RebufFrac: p.f(r[14]), AvgBitrate: p.f(r[15]), SendBitrate: p.f(r[16]),
+				NetLatencyMs: p.f(r[17]), FrameDrop: p.f(r[18]),
+			})
+			return p.err
+		},
+		tabPassive: func(r []string) error {
+			var p parser
+			d.Passive = append(d.Passive, PassiveSample{
+				Op: p.op(r[0]), TimeUTC: p.t(r[1]), Km: p.f(r[2]), Tech: p.tech(r[3]), Cell: p.s(r[4]),
+				Zone: p.zone(r[5]), NoSvc: p.b(r[6]),
+			})
+			return p.err
+		},
 	}
-	err = readTable(dir, fileRTT, gz, 10, func(r []string) error {
-		var p parser
-		s := RTTSample{
-			TestID: p.i(r[0]), Op: p.op(r[1]), TimeUTC: p.t(r[2]), Ms: p.f(r[3]), Tech: p.tech(r[4]),
-			MPH: p.f(r[5]), Km: p.f(r[6]), Zone: p.zone(r[7]), Server: p.kind(r[8]), Static: p.b(r[9]),
-		}
-		d.RTT = append(d.RTT, s)
-		return p.err
-	})
-	if err != nil {
-		return nil, err
+	var errs [numTables]error
+	var wg sync.WaitGroup
+	for tab, row := range rows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[tab] = readTable(dir, tab, gz, row)
+		}()
 	}
-	err = readTable(dir, fileHO, gz, 9, func(r []string) error {
-		var p parser
-		h := HandoverRecord{
-			TestID: p.i(r[0]), Op: p.op(r[1]), TimeUTC: p.t(r[2]), DurSec: p.f(r[3]),
-			FromTech: p.tech(r[4]), ToTech: p.tech(r[5]), FromCell: p.s(r[6]), ToCell: p.s(r[7]), Dir: p.dir(r[8]),
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		d.Handovers = append(d.Handovers, h)
-		return p.err
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = readTable(dir, fileTests, gz, 18, func(r []string) error {
-		var p parser
-		t := TestSummary{
-			ID: p.i(r[0]), Op: p.op(r[1]), Kind: TestKind(p.s(r[2])), Dir: p.dir(r[3]), StartUTC: p.t(r[4]),
-			DurSec: p.f(r[5]), Zone: p.zone(r[6]), Server: p.kind(r[7]), Static: p.b(r[8]),
-			MeanBps: p.f(r[9]), StdFracBps: p.f(r[10]), MeanRTTms: p.f(r[11]), StdFracRTT: p.f(r[12]),
-			HighSpeedFrac: p.f(r[13]), Miles: p.f(r[14]), HOCount: p.i(r[15]),
-			RxBytes: p.f(r[16]), TxBytes: p.f(r[17]),
-		}
-		d.Tests = append(d.Tests, t)
-		return p.err
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = readTable(dir, fileApps, gz, 19, func(r []string) error {
-		var p parser
-		a := AppRun{
-			ID: p.i(r[0]), Op: p.op(r[1]), App: TestKind(p.s(r[2])), StartUTC: p.t(r[3]), DurSec: p.f(r[4]),
-			Server: p.kind(r[5]), Static: p.b(r[6]), Compressed: p.b(r[7]), HighSpeedFrac: p.f(r[8]),
-			HOCount: p.i(r[9]), MedianE2EMs: p.f(r[10]), OffloadFPS: p.f(r[11]), MAP: p.f(r[12]),
-			QoE: p.f(r[13]), RebufFrac: p.f(r[14]), AvgBitrate: p.f(r[15]), SendBitrate: p.f(r[16]),
-			NetLatencyMs: p.f(r[17]), FrameDrop: p.f(r[18]),
-		}
-		d.Apps = append(d.Apps, a)
-		return p.err
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = readTable(dir, filePassive, gz, 7, func(r []string) error {
-		var p parser
-		s := PassiveSample{
-			Op: p.op(r[0]), TimeUTC: p.t(r[1]), Km: p.f(r[2]), Tech: p.tech(r[3]), Cell: p.s(r[4]),
-			Zone: p.zone(r[5]), NoSvc: p.b(r[6]),
-		}
-		d.Passive = append(d.Passive, s)
-		return p.err
-	})
-	if err != nil {
-		return nil, err
 	}
 	return d, nil
 }

@@ -121,6 +121,73 @@ func TestLoadMissingDir(t *testing.T) {
 	}
 }
 
+// rewriteLine replaces the 1-based line n of the table file name under dir.
+func rewriteLine(t *testing.T, dir, name string, n int, line string) {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(b), "\n")
+	lines[n-1] = line
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadRejectsSwappedHeader: a header with the right column count but
+// two columns swapped would load every row with the two values swapped, so
+// Load rejects it, naming the file, line 1 and both column names.
+func TestLoadRejectsSwappedHeader(t *testing.T) {
+	dir := t.TempDir()
+	if err := sampleDataset().Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	rewriteLine(t, dir, fileRTT, 1, "test_id,op,time_utc,ms,tech,km,mph,zone,server,static")
+	_, err := Load(dir)
+	if err == nil {
+		t.Fatal("Load accepted an rtt_samples.csv header with km and mph swapped")
+	}
+	for _, want := range []string{fileRTT + ":1:", `"km"`, `"mph"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %s", err, want)
+		}
+	}
+}
+
+// TestLoadReportsFirstTableError: the tables decode concurrently, but the
+// error Load reports is the first in canonical table order whichever table
+// fails first, and a missing table still fails the load.
+func TestLoadReportsFirstTableError(t *testing.T) {
+	dir := t.TempDir()
+	if err := fuzzSeedDataset().Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	rewriteLine(t, dir, fileRTT, 3, "2,Sprint,2022-08-08T15:00:00.5Z,63.2,LTE-A,30,5,Mountain,edge,false")
+	rewriteLine(t, dir, filePassive, 2, "ATT,not-a-time,12.5,LTE,A-LTE-3,Eastern,false")
+	for i := 0; i < 20; i++ {
+		_, err := Load(dir)
+		if err == nil {
+			t.Fatal("Load accepted corrupt rtt_samples and passive_samples tables")
+		}
+		if !strings.Contains(err.Error(), fileRTT+":3:") {
+			t.Fatalf("error %q does not name %s line 3", err, fileRTT)
+		}
+	}
+
+	dir = t.TempDir()
+	if err := fuzzSeedDataset().Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, fileHO)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), fileHO) {
+		t.Errorf("Load without %s: error %v, want one naming the missing table", fileHO, err)
+	}
+}
+
 func TestFilters(t *testing.T) {
 	d := sampleDataset()
 	got := d.FilterThr(func(s ThroughputSample) bool { return s.Op == radio.Verizon })
@@ -233,5 +300,64 @@ func TestLoadCompressedCorruptTable(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Errorf("LoadCompressed left %d entries in $TMPDIR", len(left))
+	}
+}
+
+// loadBenchDataset is a synthetic dataset of nThr throughput rows whose
+// other tables keep the row proportions of a 1,500-km paper campaign
+// (≈0.8 RTT, 1.9 passive and 0.1 handover rows per throughput row), with
+// values that vary row to row so the gzip ratio stays realistic.
+func loadBenchDataset(nThr int) *Dataset {
+	base := fuzzSeedDataset()
+	d := &Dataset{Seed: 23}
+	for i := 0; i < nThr; i++ {
+		at := base.Thr[0].TimeUTC.Add(time.Duration(i) * 500 * time.Millisecond)
+		km := float64(i) * 0.031
+		s := base.Thr[0]
+		s.TestID, s.TimeUTC, s.Km, s.Bps, s.SINRdB = i/60, at, km, float64(i%977)*1.7e5, float64(i%41)*0.73-5
+		d.Thr = append(d.Thr, s)
+		if i%5 != 0 {
+			r := base.RTT[0]
+			r.TestID, r.TimeUTC, r.Km, r.Ms = i/60, at, km, 20+float64(i%313)*0.41
+			d.RTT = append(d.RTT, r)
+		}
+		p := base.Passive[0]
+		p.TimeUTC, p.Km, p.NoSvc = at, km, i%97 == 0
+		d.Passive = append(d.Passive, p)
+		if i%10 != 0 {
+			d.Passive = append(d.Passive, p)
+		}
+		if i%9 == 0 {
+			h := base.Handovers[0]
+			h.TestID, h.TimeUTC, h.DurSec = i/60, at, 0.03+float64(i%17)*0.004
+			d.Handovers = append(d.Handovers, h)
+		}
+		if i%30 == 0 {
+			t := base.Tests[0]
+			t.ID, t.StartUTC, t.MeanBps = i/30, at, float64(i%977)*1.7e5
+			d.Tests = append(d.Tests, t)
+		}
+		if i%20 == 0 {
+			a := base.Apps[0]
+			a.ID, a.StartUTC, a.MedianE2EMs = i/20, at, 150+float64(i%89)
+			d.Apps = append(d.Apps, a)
+		}
+	}
+	return d
+}
+
+// BenchmarkLoadCompressed times LoadCompressed on loadBenchDataset(50000),
+// written once before the timer starts.
+func BenchmarkLoadCompressed(b *testing.B) {
+	dir := b.TempDir()
+	if err := loadBenchDataset(50000).SaveCompressed(dir); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadCompressed(dir); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

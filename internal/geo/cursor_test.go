@@ -26,11 +26,10 @@ func TestCursorMatchesRoute(t *testing.T) {
 		if got, want := cur.TimezoneAt(km), r.TimezoneAt(km); got != want {
 			t.Fatalf("TimezoneAt(%.2f): cursor %v, route %v", km, got, want)
 		}
-		gc, gs, gok := cur.CityAreaAt(km)
-		wc, ws, wok := r.CityAreaAt(km)
-		if gc.Name != wc.Name || gs != ws || gok != wok {
-			t.Fatalf("CityAreaAt(%.2f): cursor (%q,%.2f,%v), route (%q,%.2f,%v)",
-				km, gc.Name, gs, gok, wc.Name, ws, wok)
+		gc, gok := cur.CityAt(km)
+		wc, wok := r.CityAt(km)
+		if gc.Name != wc.Name || gok != wok {
+			t.Fatalf("CityAt(%.2f): cursor (%q,%v), route (%q,%v)", km, gc.Name, gok, wc.Name, wok)
 		}
 	}
 }

@@ -319,16 +319,15 @@ func (r *Route) roadClassOf(leg *Leg, off float64) RoadClass {
 	return RoadHighway
 }
 
-// cityAreaOf resolves the city whose urban area contains offset off into a
-// leg, together with the route distance at which that area begins.
-func (r *Route) cityAreaOf(leg *Leg, off float64) (City, float64, bool) {
+// cityOf resolves the city whose urban area contains offset off into a leg.
+func (r *Route) cityOf(leg *Leg, off float64) (City, bool) {
 	if off < r.Bands.CityKm {
-		return r.cityByName(leg.From), leg.startKm, true
+		return r.cityByName(leg.From), true
 	}
 	if leg.RoadKm-off < r.Bands.CityKm {
-		return r.cityByName(leg.To), leg.startKm + leg.RoadKm - r.Bands.CityKm, true
+		return r.cityByName(leg.To), true
 	}
-	return City{}, 0, false
+	return City{}, false
 }
 
 // zoneAt maps a position to its timezone under the route's timezone layout.
@@ -362,15 +361,8 @@ func (r *Route) RoadClassAt(km float64) RoadClass {
 // CityAt returns the city whose urban area contains route distance km, if
 // any. Only leg endpoints count: intermediate towns are not major cities.
 func (r *Route) CityAt(km float64) (City, bool) {
-	city, _, ok := r.CityAreaAt(km)
-	return city, ok
-}
-
-// CityAreaAt returns the city whose urban area contains route distance km
-// together with the route distance at which that area begins.
-func (r *Route) CityAreaAt(km float64) (City, float64, bool) {
 	leg, off := r.legAt(km)
-	return r.cityAreaOf(leg, off)
+	return r.cityOf(leg, off)
 }
 
 // Cursor answers the same positional queries as Route but memoizes the
@@ -427,11 +419,11 @@ func (c *Cursor) RoadClassAt(km float64) RoadClass {
 	return c.r.roadClassOf(leg, off)
 }
 
-// CityAreaAt returns the city whose urban area contains route distance km
-// together with the route distance at which that area begins.
-func (c *Cursor) CityAreaAt(km float64) (City, float64, bool) {
+// CityAt returns the city whose urban area contains route distance km, if
+// any.
+func (c *Cursor) CityAt(km float64) (City, bool) {
 	leg, off := c.legAt(km)
-	return c.r.cityAreaOf(leg, off)
+	return c.r.cityOf(leg, off)
 }
 
 // DayAt returns the 1-based trip day for route distance km.
